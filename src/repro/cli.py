@@ -116,7 +116,7 @@ def cmd_demo(args) -> int:
     from repro.workloads.requests import combine, write
 
     tree = make_tree(args.topology, args.nodes, args.seed)
-    system = AggregationSystem(tree, trace_enabled=True, backend=args.backend)
+    system = AggregationSystem(tree, trace_enabled=True)
     monitors = attach_standard_monitors(system.trace, strict=False)
     import random as _random
 
@@ -666,7 +666,6 @@ def cmd_verify_explore(args) -> int:
             script,
             policy_factory=factory,
             max_states=args.max_states,
-            backend=args.backend,
             independence=args.independence,
         )
     except ValueError as exc:
@@ -1095,9 +1094,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("demo", help="run a small aggregation demo")
     add_common(p)
-    p.add_argument("--backend", default="reference",
-                   choices=["reference", "flat"],
-                   help="execution backend (flat = vectorized engine)")
     p.add_argument("--json", action="store_true",
                    help="print the machine-readable run summary (JSON)")
     p.add_argument("--trace-out", help="export the telemetry trace as JSONL")
@@ -1281,10 +1277,6 @@ def build_parser() -> argparse.ArgumentParser:
     vp.add_argument("--policy", default="rww",
                     help="rww | always | never | ab:a,b")
     vp.add_argument("--max-states", type=int, default=500_000)
-    vp.add_argument("--backend", default="reference",
-                    choices=["reference", "flat"],
-                    help="execution backend to explore (flat = vectorized "
-                         "engine, checked against the same oracles)")
     vp.add_argument("--independence", default="derived",
                     choices=["derived", "hand"],
                     help="POR independence relation: derived from the "

@@ -12,8 +12,7 @@ driving surface the engines
 ``submit_combine(...)``initiate a (scoped) combine (T1) — no draining
 ``drain()``            run the transport to quiescence
 ``is_quiescent()``     condition (2) of Section 2
-``state_snapshot()``   canonical hashable state (model checker)
-``fork()``             independent deep copy (model checker)
+``state_snapshot()``   canonical hashable state (quiescent states)
 ``check_quiescent_invariants()``  Lemmas 3.1 / 3.2 / 3.4
 ``lease_graph_edges()``the lease graph G(Q) of Section 3.2
 ``nodes``              node id -> node object (or view) for inspection
@@ -27,18 +26,19 @@ Two backends implement it:
   The semantics oracle.
 * ``flat`` — :class:`~repro.flat.runtime.FlatRuntime`: per-node/per-edge
   protocol state in integer-indexed arrays, interned message structs and
-  batched delivery/accounting.  Synchronous transport only, static
-  topology; equivalence with the reference backend is pinned by the
-  golden workloads and the runtime matrix (see ``tests/
-  test_flat_equivalence.py``).
+  batched delivery/accounting in one kernel loop.  Synchronous transport
+  only, static topology, no traces, ghost logs, crashes or model-checker
+  stepping; equivalence with the reference backend is pinned by the
+  golden workloads, a randomized differential test and the runtime
+  matrix (see ``tests/test_flat_equivalence.py``).
 
 :func:`build_backend` is the single factory; engines select a backend by
-name exactly like they select a transport by config.  When the flat
-backend cannot host a configuration (simulated transport, custom node
-class, unflattenable policy, dynamic topology) it raises
-:class:`BackendUnsupported` — or, with ``fallback=True``, the factory
-silently builds the reference backend instead (the dynamic engine's
-behavior).
+name exactly like they select a transport by config.  What the flat
+backend can host is decided in one place, :func:`_flat_unsupported_reason`
+(plus the policy flattening in :mod:`repro.flat.policy`); anything else
+raises :class:`BackendUnsupported` — or, with ``fallback=True``, the
+factory silently builds the reference backend instead (the dynamic
+engine's behavior).
 """
 
 from __future__ import annotations
@@ -82,7 +82,9 @@ class BackendUnsupported(RuntimeError):
     :class:`~repro.flat.runtime.FlatRuntime` itself) when the flat
     backend is asked for something only the reference backend provides —
     a simulated transport stack, a custom node class, an unflattenable
-    policy, recovery management, or dynamic topology changes.
+    policy, recovery management, tracing, ghost logs, a required feature
+    (``dynamic``, ``sim``, ``explore``, ``crash``), or dynamic topology
+    changes.
     """
 
 
@@ -90,10 +92,10 @@ class BackendUnsupported(RuntimeError):
 class Backend(Protocol):
     """Structural type of an execution backend (see module doc).
 
-    The engines drive this surface only; everything else
-    (``nodes`` views, ``network`` hooks for the model checker, crash /
-    recover) is shared duck-typed convention pinned by the backend
-    equivalence tests.
+    The engines drive this surface only; everything else (``nodes``
+    views; ``fork``, ``network`` stepping and crash / recover for the
+    model checker, which only the reference backend provides) is shared
+    duck-typed convention pinned by the backend equivalence tests.
     """
 
     tree: Any
@@ -117,8 +119,6 @@ class Backend(Protocol):
 
     # ------------------------------------------------------- verification
     def state_snapshot(self) -> Tuple[Any, ...]: ...
-
-    def fork(self) -> "Backend": ...
 
     def check_quiescent_invariants(self) -> None: ...
 
@@ -278,7 +278,6 @@ def build_backend(
     recovery: Any = None,
     profiler: Any = None,
     cost_accounting: bool = False,
-    backend_options: Optional[Dict[str, Any]] = None,
     require: Any = (),
     fallback: bool = False,
 ) -> Any:
@@ -292,16 +291,14 @@ def build_backend(
     name:
         ``"reference"`` or ``"flat"`` (see :data:`BACKENDS`).
     require:
-        Feature names the caller will use beyond the core driving surface.
-        ``"dynamic"`` (attach/detach/rename, :meth:`set_topology`) and
-        ``"sim"`` (a simulated transport stack) are only available on the
-        reference backend.
+        Feature names the caller will use beyond the core driving surface:
+        ``"dynamic"`` (attach/detach/rename, :meth:`set_topology`),
+        ``"sim"`` (a simulated transport stack), ``"crash"`` (crash /
+        recover) and ``"explore"`` (model-checker stepping and ``fork``).
+        Only the reference backend provides them.
     fallback:
         When the named backend cannot host the configuration, build the
         reference backend instead of raising :class:`BackendUnsupported`.
-    backend_options:
-        Backend-specific keywords (currently the flat backend's
-        ``coalesce_updates``); ignored by the reference backend.
 
     All other parameters are the historical ``NodeRuntime`` constructor
     surface and are forwarded verbatim.
@@ -313,12 +310,13 @@ def build_backend(
         node_cls = LeaseNode
     if name not in BACKENDS:
         raise ValueError(f"unknown backend {name!r}; expected one of {BACKENDS}")
-    options = dict(backend_options or {})
     if name == "flat":
         reason = _flat_unsupported_reason(
             transport=transport,
             node_cls=node_cls,
             recovery=recovery,
+            trace_enabled=trace_enabled,
+            ghost=ghost,
             require=frozenset(require),
         )
         if reason is None:
@@ -329,15 +327,9 @@ def build_backend(
                     tree,
                     op=op,
                     policy_factory=policy_factory,
-                    transport=transport,
-                    ghost=ghost,
-                    trace_enabled=trace_enabled,
                     metrics=metrics,
-                    trace_max_events=trace_max_events,
-                    seed=seed,
                     profiler=profiler,
                     cost_accounting=cost_accounting,
-                    **options,
                 )
             except BackendUnsupported as exc:
                 reason = str(exc)
@@ -361,9 +353,19 @@ def build_backend(
 
 
 def _flat_unsupported_reason(
-    *, transport: Any, node_cls: Any, recovery: Any, require: frozenset
+    *,
+    transport: Any,
+    node_cls: Any,
+    recovery: Any,
+    trace_enabled: bool,
+    ghost: bool,
+    require: frozenset,
 ) -> Optional[str]:
-    """Why the flat backend cannot host this configuration (None = it can)."""
+    """Why the flat backend cannot host this configuration (None = it can).
+
+    The one capability check of the flat backend: its kernel runs the
+    synchronous, static-topology, crash-free automaton and nothing else.
+    """
     from repro.core.mechanism import LeaseNode
 
     if transport is not None and not getattr(transport, "synchronous", True):
@@ -378,10 +380,14 @@ def _flat_unsupported_reason(
         )
     if recovery is not None:
         return "RecoveryManager needs the reference backend"
-    unsupported = sorted(require - {"explore", "crash"})
-    if unsupported:
+    if trace_enabled:
+        return "tracing (trace_enabled) needs the reference backend"
+    if ghost:
+        return "ghost logs (ghost) need the reference backend"
+    if require:
         return (
-            f"feature(s) {unsupported} need the reference backend "
-            "(the flat backend is static-topology, synchronous-only)"
+            f"feature(s) {sorted(require)} need the reference backend "
+            "(the flat backend is static-topology, synchronous-only, "
+            "crash-free and not explorable)"
         )
     return None

@@ -287,12 +287,9 @@ class AggregationSystem(_RuntimeDriver):
         Execution backend name — ``"reference"`` (the default
         :class:`~repro.core.runtime.NodeRuntime`) or ``"flat"`` (the
         vectorized engine in :mod:`repro.flat`).  The flat backend hosts
-        synchronous, static-topology runs only and raises
-        :class:`~repro.core.backend.BackendUnsupported` otherwise.
-    backend_options:
-        Backend-specific keywords forwarded by
-        :func:`~repro.core.backend.build_backend` (e.g. the flat
-        backend's ``coalesce_updates``).
+        synchronous, static-topology runs without tracing or ghost logs
+        only and raises :class:`~repro.core.backend.BackendUnsupported`
+        otherwise.
 
     Examples
     --------
@@ -325,7 +322,6 @@ class AggregationSystem(_RuntimeDriver):
         profiler: Optional[PerfProfiler] = None,
         cost_accounting: bool = False,
         backend: str = "reference",
-        backend_options: Optional[Dict[str, Any]] = None,
     ) -> None:
         self.runtime = build_backend(
             backend,
@@ -341,7 +337,6 @@ class AggregationSystem(_RuntimeDriver):
             recovery=recovery,
             profiler=profiler,
             cost_accounting=cost_accounting,
-            backend_options=backend_options,
             require=self._backend_require,
             fallback=self._backend_fallback,
         )
@@ -431,7 +426,6 @@ class ConcurrentAggregationSystem(_RuntimeDriver):
         profiler: Optional[PerfProfiler] = None,
         cost_accounting: bool = False,
         backend: str = "reference",
-        backend_options: Optional[Dict[str, Any]] = None,
     ) -> None:
         if transport is None:
             transport = TransportConfig.simulated(latency=latency, reliability=reliability)
@@ -453,7 +447,6 @@ class ConcurrentAggregationSystem(_RuntimeDriver):
             recovery=recovery,
             profiler=profiler,
             cost_accounting=cost_accounting,
-            backend_options=backend_options,
             require={"sim"},
         )
         self.reliability = transport.reliability

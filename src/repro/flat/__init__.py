@@ -6,9 +6,11 @@ seam defined in :mod:`repro.core.backend`.  Where the reference backend
 object per node and one frozen dataclass per message, the flat backend
 stores every per-node and per-edge protocol variable in integer-indexed
 arrays over a CSR adjacency layout, interns messages as small ints /
-tuples, and drains the wire in one batched loop with deferred per-edge
-accounting.  Same automaton, same traces, same snapshots — an order of
-magnitude faster at large n.
+tuples, and drains the wire in one batched kernel loop with deferred
+per-edge accounting.  Same automaton, same message counts, same results
+and quiescent snapshots — an order of magnitude faster at large n.  It
+runs only what the kernel covers: traces, ghost logs, crashes and
+model-checker stepping need the reference backend.
 
 Select it through the factory::
 

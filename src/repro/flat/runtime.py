@@ -7,7 +7,8 @@ through policy and telemetry indirection.  At n=1023 that overhead *is*
 the runtime (see ``benchmarks/results/scalability.json``).
 
 This backend stores the entire Figure-1 automaton in flat arrays over a
-CSR adjacency layout and drains the wire in one inlined loop:
+CSR adjacency layout and drains the wire in one inlined loop, the
+kernel (:meth:`FlatRuntime._kernel`):
 
 Slots
     Directed edge ``u <- v`` (node ``u``'s view of neighbor ``v``) is a
@@ -24,19 +25,17 @@ Per-edge state
     :mod:`repro.flat.policy`) — all indexed by slot.
 
 Interned messages
-    A queued probe or revoke is one ``int`` (``slot << 3 | kind``); a
-    response, update or release is one small tuple carrying the
+    A queued probe is one ``int`` (``slot << 3``); a response, update or
+    release is one small tuple ``(code, slot, ...)`` carrying the
     receiving slot.  No dataclass allocation, no dispatch table.
 
 Batched delivery & accounting
-    ``drain()`` runs a single while-loop over the queue with every hot
+    The kernel runs a single while-loop over the queue with every hot
     array in a local.  Message counts accumulate in per-(slot, kind)
     buffers flushed into :class:`~repro.sim.stats.MessageStats` form
     only when per-edge detail is actually read; ``stats.total`` is exact
     at every batch boundary, so spans, metrics and the cost meter see
-    the numbers they always saw.  When tracing, ghost logs, crashes or
-    the profiler are active, drain drops to a slow path that emits the
-    reference backend's exact event stream.
+    the numbers they always saw.
 
 Per-edge update coalescing
     :meth:`run_write_batch` applies a batch of writes with at most one
@@ -44,70 +43,72 @@ Per-edge update coalescing
     ``execute()`` semantics are never coalesced, equivalence stays
     exact).
 
-Everything the verification stack needs — ``state_snapshot()`` /
-``fork()`` / ``pending_edges()`` / ``deliver_next()`` — is implemented
-bit-compatibly with the reference backend, so the model checker explores
-flat states and dedupes them against the same canonical keys.
+The kernel is the only implementation of the receive transitions here.
+Configurations that need more than it provides — traces, ghost logs,
+crashes, model-checker stepping — run on the reference backend:
+:func:`~repro.core.backend.build_backend` refuses them for ``flat``.
+The static effect analysis (:mod:`repro.verify.effects`) reads the
+kernel's kind dispatch directly and checks it against the reaction spec
+and the reference handlers (PL501/PL502/PL504).
 """
 
 from __future__ import annotations
 
-import copy
 from bisect import bisect_left
 from collections import deque
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.backend import BackendUnsupported, RuntimeTelemetry
-from repro.core.ghost import GhostLog
 from repro.core.policies import RWWPolicy
-from repro.core.runtime import SYSTEM_NODE  # noqa: F401  (re-export convention)
 from repro.core.runtime import check_quiescent_invariants as _check_invariants
-from repro.flat.policy import M_AB, M_ALWAYS, M_NEVER, M_RWW, policy_spec
+from repro.flat.policy import M_AB, M_NEVER, M_RWW, policy_spec
 from repro.flat.views import FlatNode
 from repro.obs.costmeter import CostMeter
-from repro.obs.metrics import MetricsBridge, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.ops.standard import SUM
 from repro.sim.stats import MessageStats
 from repro.sim.trace import TraceLog
-from repro.sim.transport import TransportConfig
-from repro.util.canon import canonical_value
 from repro.workloads.requests import Request
 
 __all__ = ["FlatRuntime"]
 
-#: Wire codes (the low 3 bits of an interned int message / first element
-#: of a tuple message).  Probe and revoke carry no payload and intern to
-#: a bare ``slot << 3 | code`` int.
+#: Wire codes: a tuple message's first element, and a slot counter's
+#: offset in the pending-count array.  A probe interns to a bare
+#: ``slot << 3`` int and carries no code.
 K_PROBE = 0
 K_RESPONSE = 1
 K_UPDATE = 2
 K_RELEASE = 3
-K_REVOKE = 4
 
-KIND_NAMES = ("probe", "response", "update", "release", "revoke")
+KIND_NAMES = ("probe", "response", "update", "release")
 
 #: Delivery-count ceiling, matching ``SynchronousNetwork.run_to_quiescence``.
 MAX_DELIVERIES = 10_000_000
 
 
 class _FlatStats(MessageStats):
-    """MessageStats with lazily-flushed per-slot fast-path counters.
+    """MessageStats with lazily-flushed per-slot counters.
 
-    The fast drain loop counts sends into ``_pending[slot * 5 + kind]``
-    and adds the batch total to ``_total`` once at loop exit —
-    ``total`` is always exact.  Per-edge detail (``count``/``by_kind``/
+    Every send counts into ``_pending[slot * 4 + kind]``; the kernel adds
+    its batch total to ``_total`` once at loop exit, so ``total`` is
+    always exact.  Per-edge detail (``count``/``by_kind``/
     ``directional_cost``/...) is demanded rarely (reports, golden
     assertions), so the per-edge ledger is synced on read by scanning
-    the pending array.  Slow-path sends use plain :meth:`record` and mix
-    freely with pending fast-path counts.
+    the pending array.
     """
 
     def __init__(self, owner: List[int], peer: List[int]) -> None:
         super().__init__()
         self._slot_owner = owner
         self._slot_peer = peer
-        self._pending: List[int] = [0] * (len(owner) * 5)
+        self._pending: List[int] = [0] * (len(owner) * 4)
         self._unsynced = False
+
+    def sent(self, slot: int, kind: int) -> None:
+        """Count one send made outside the kernel (request initiation)."""
+        self._pending[slot * 4 + kind] += 1
+        self._total += 1
+        self._unsynced = True
 
     def _sync(self) -> None:
         if not self._unsynced:
@@ -119,7 +120,7 @@ class _FlatStats(MessageStats):
         counts = self._counts
         for idx, n in enumerate(pending):
             if n:
-                s, k = divmod(idx, 5)
+                s, k = divmod(idx, 4)
                 counts[(owner[s], peer[s])][KIND_NAMES[k]] += n
                 pending[idx] = 0
 
@@ -151,139 +152,41 @@ class _FlatStats(MessageStats):
         self._unsynced = False
 
 
-class _FlatWire:
-    """The transport facade of a flat runtime (its ``network`` attribute).
-
-    Implements the synchronous-transport inspection surface the model
-    checker and the invariant checker drive — frontier enumeration,
-    single-edge delivery, canonical pending snapshots, quiescence — by
-    delegating to the runtime's interned queue.
-    """
-
-    def __init__(self, rt: "FlatRuntime") -> None:
-        self._rt = rt
-
-    @property
-    def crashed(self) -> set:
-        return self._rt.crashed
-
-    def is_quiescent(self) -> bool:
-        return not self._rt._queue
-
-    def pending_edges(self) -> List[Tuple[int, int]]:
-        rt = self._rt
-        owner = rt._owner
-        peer = rt._peer
-        seen: List[Tuple[int, int]] = []
-        for m in rt._queue:
-            s = (m >> 3) if type(m) is int else m[1]
-            edge = (peer[s], owner[s])
-            if edge not in seen:
-                seen.append(edge)
-        return seen
-
-    def deliver_next(self, src: int, dst: int) -> None:
-        rt = self._rt
-        want = rt._slot_index.get((dst, src))
-        if want is not None:
-            queue = rt._queue
-            for i, m in enumerate(queue):
-                s = (m >> 3) if type(m) is int else m[1]
-                if s == want:
-                    del queue[i]
-                    rt._deliver(m)
-                    return
-        raise ValueError(f"no message in flight on edge ({src}, {dst})")
-
-    def pending_snapshot(self) -> Tuple[Any, ...]:
-        rt = self._rt
-        owner = rt._owner
-        peer = rt._peer
-        per_edge: Dict[Tuple[int, int], List[Any]] = {}
-        for m in rt._queue:
-            if type(m) is int:
-                s = m >> 3
-                canon = ("Probe",) if (m & 7) == K_PROBE else ("Revoke",)
-            else:
-                k = m[0]
-                s = m[1]
-                if k == K_RESPONSE:
-                    canon = (
-                        "Response",
-                        ("x", canonical_value(m[2])),
-                        ("flag", canonical_value(m[3])),
-                        ("wlog", canonical_value(m[4])),
-                    )
-                elif k == K_UPDATE:
-                    canon = (
-                        "Update",
-                        ("x", canonical_value(m[2])),
-                        ("id", canonical_value(m[3])),
-                        ("wlog", canonical_value(m[4])),
-                    )
-                else:
-                    canon = ("Release", ("S", canonical_value(m[2])))
-            per_edge.setdefault((peer[s], owner[s]), []).append(canon)
-        snap: Tuple[Any, ...] = tuple(
-            (edge, tuple(messages)) for edge, messages in sorted(per_edge.items())
-        )
-        if rt.crashed:
-            snap += (("crashed", tuple(sorted(rt.crashed))),)
-        return snap
-
-
 class FlatRuntime(RuntimeTelemetry):
     """Array-indexed implementation of the execution-backend protocol.
 
-    Constructor surface matches :class:`~repro.core.runtime.NodeRuntime`
-    minus the features the flat layout cannot host (simulated
-    transports, custom node classes, recovery management) — those raise
-    :class:`~repro.core.backend.BackendUnsupported`, which
-    :func:`~repro.core.backend.build_backend` turns into a reference-
-    backend fallback when the caller allows one.
+    Build it through :func:`~repro.core.backend.build_backend`, which
+    decides what the flat backend can host (synchronous transport, static
+    topology, built-in policies, no traces, ghost logs, crashes or
+    exploration) and falls back to the reference backend when the caller
+    allows one.
     """
 
     backend_name = "flat"
+    #: No node of a flat runtime ever crashes (crashes need the reference
+    #: backend); the engines read this Backend attribute.
+    crashed: frozenset = frozenset()
 
     def __init__(
         self,
         tree: Any,
         op: Any = SUM,
         policy_factory: Callable[[], Any] = RWWPolicy,
-        transport: Optional[TransportConfig] = None,
         *,
-        ghost: bool = False,
-        trace_enabled: bool = False,
         metrics: Optional[MetricsRegistry] = None,
-        trace_max_events: Optional[int] = None,
-        seed: int = 0,
         profiler: Any = None,
         cost_accounting: bool = False,
-        coalesce_updates: bool = False,
     ) -> None:
-        config = transport if transport is not None else TransportConfig()
-        if not config.synchronous:
-            raise BackendUnsupported(
-                "the flat backend runs the synchronous transport only; "
-                "simulated stacks need the reference backend"
-            )
         self.tree = tree
         self.op = op
         self.policy_factory = policy_factory
-        self.config = config
-        self.trace = TraceLog(enabled=trace_enabled, max_events=trace_max_events)
+        # Always disabled: the engines mark and test it around requests.
+        self.trace = TraceLog(enabled=False)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.spans: List[Any] = []
-        if trace_enabled:
-            self.trace.subscribe(MetricsBridge(self.metrics))
         self.profiler = profiler
         self.sim = None
         self.recovery = None
-        self.seed = seed
-        self.crashed: set = set()
-        self._failure_listeners: List[Callable[[List[Request]], None]] = []
-        self._ghost_enabled = ghost
-        self.coalesce_updates = coalesce_updates
 
         n = tree.n
         # ------------------------------------------------- CSR adjacency
@@ -309,8 +212,8 @@ class FlatRuntime(RuntimeTelemetry):
         # For slots whose owner has degree exactly 2, the owner's *other*
         # slot (-1 otherwise).  Degree-2 nodes — every interior node of a
         # path/caterpillar spine — take specialized straight-line handlers
-        # in the fast drain loop: the "all neighbors but the sender" loops
-        # collapse to one sibling lookup.
+        # in the kernel: the "all neighbors but the sender" loops collapse
+        # to one sibling lookup.
         sib = [-1] * nslots
         for u in range(n):
             if off[u + 1] - off[u] == 2:
@@ -347,9 +250,6 @@ class FlatRuntime(RuntimeTelemetry):
         self._scoped_waiters: List[Dict[int, List[Tuple[Request, Callable]]]] = [
             {} for _ in range(n)
         ]
-        self._ghost: List[Optional[GhostLog]] = [
-            GhostLog(n) if ghost else None for _ in range(n)
-        ]
 
         # -------------------------------------------- policy flattening
         specs = []
@@ -376,7 +276,6 @@ class FlatRuntime(RuntimeTelemetry):
         self.cost_meter: Optional[CostMeter] = (
             CostMeter(tree, self.stats) if cost_accounting else None
         )
-        self.network = _FlatWire(self)
         self._views: Optional[Dict[int, FlatNode]] = None
 
     # ----------------------------------------------------------------- nodes
@@ -412,57 +311,16 @@ class FlatRuntime(RuntimeTelemetry):
                 x = combine(x, aval[t])
         return x
 
-    def _wlog(self, u: int) -> Optional[Tuple[Request, ...]]:
-        g = self._ghost[u]
-        return g.wlog_snapshot() if g is not None else None
-
-    def _isgood(self, u: int, s: int) -> bool:
-        granted = self._granted
-        for t in range(self._off[u], self._off[u + 1]):
-            if granted[t] and t != s:
-                return False
-        return True
-
-    # ----------------------------------------------------------- slow sends
-    # Mirror SynchronousNetwork.send exactly: count + "send" trace first,
-    # then black-hole traffic touching a crashed endpoint as a declared
-    # loss.  ``t`` is always the *sending* slot (owner -> peer).
-    def _emit_send(self, t: int, kind: str) -> bool:
-        u = self._owner[t]
-        v = self._peer[t]
-        self.stats.record(u, v, kind)
-        self.trace.emit(0.0, "send", u, dst=v, msg=kind)
-        if u in self.crashed or v in self.crashed:
-            self.trace.emit(
-                0.0, "delivery_failed", u, dst=v, msg=kind, seq=-1, attempts=0
-            )
-            return False
-        return True
-
-    def _send_probe(self, t: int) -> None:
-        if self._emit_send(t, "probe"):
-            self._queue.append(self._rev[t] << 3)
-
-    def _send_revoke(self, t: int) -> None:
-        if self._emit_send(t, "revoke"):
-            self._queue.append(self._rev[t] << 3 | K_REVOKE)
-
-    def _send_response(self, t: int, x: Any, flag: bool, wlog: Any) -> None:
-        if self._emit_send(t, "response"):
-            self._queue.append((K_RESPONSE, self._rev[t], x, flag, wlog))
-
-    def _send_update(self, t: int, x: Any, uid: int, wlog: Any) -> None:
-        if self._emit_send(t, "update"):
-            self._queue.append((K_UPDATE, self._rev[t], x, uid, wlog))
-
-    def _send_release(self, t: int, S: frozenset) -> None:
-        if self._emit_send(t, "release"):
-            self._queue.append((K_RELEASE, self._rev[t], S))
+    def _sntprobes(self, u: int) -> Set[int]:
+        already: Set[int] = set()
+        for targets in self._snt[u].values():
+            already |= targets
+        return already
 
     # ---------------------------------------------------------- policy hooks
-    # Transliterations of repro.core.policies, switched on the flattened
-    # mode; see FlatPolicySpec.  The slow path calls these; the fast
-    # drain loop inlines the same bodies.
+    # The initiation-side hooks of repro.core.policies, switched on the
+    # flattened mode (see FlatPolicySpec).  The receive-side hooks live
+    # inlined in the kernel.
     def _p_on_combine(self, u: int) -> None:
         mode = self._mode
         if mode == M_RWW or mode == M_AB:
@@ -479,60 +337,6 @@ class FlatRuntime(RuntimeTelemetry):
             for t in range(self._off[u], self._off[u + 1]):
                 cc[t] = 0
 
-    def _p_probe_rcvd(self, u: int, s: int) -> None:
-        mode = self._mode
-        taken = self._taken
-        lt = self._lt
-        if mode == M_RWW:
-            for t in range(self._off[u], self._off[u + 1]):
-                if taken[t] and t != s:
-                    lt[t] = self._pb[t]
-        elif mode == M_AB:
-            cc = self._cc
-            cc[s] += 1
-            for t in range(self._off[u], self._off[u + 1]):
-                if taken[t] and t != s:
-                    lt[t] = self._pb[t]
-                    cc[t] = 0
-
-    def _p_response_rcvd(self, u: int, s: int, flag: bool) -> None:
-        if flag and self._mode in (M_RWW, M_AB):
-            self._lt[s] = self._pb[s]
-
-    def _p_update_rcvd(self, u: int, s: int) -> None:
-        mode = self._mode
-        if mode == M_RWW:
-            if self._isgood(u, s):
-                self._lt[s] -= 1
-        elif mode == M_AB:
-            if self._isgood(u, s):
-                self._lt[s] -= 1
-            cc = self._cc
-            for t in range(self._off[u], self._off[u + 1]):
-                if t != s:
-                    cc[t] = 0
-
-    def _p_set_lease(self, u: int, s: int) -> bool:
-        mode = self._mode
-        if mode == M_RWW or mode == M_ALWAYS:
-            return True
-        if mode == M_NEVER:
-            return False
-        if self._cc[s] >= self._pa[s]:
-            self._cc[s] = 0
-            return True
-        return False
-
-    def _p_break_lease(self, u: int, t: int) -> bool:
-        mode = self._mode
-        if mode == M_RWW or mode == M_AB:
-            return self._lt[t] <= 0
-        return mode == M_NEVER
-
-    def _p_release_policy(self, u: int, t: int) -> None:
-        if self._mode in (M_RWW, M_AB):
-            self._lt[t] -= len(self._uaw[t])
-
     def _p_on_scoped(self, u: int, s: int) -> None:
         # Only RWW overrides on_scoped_combine; (a,b) variants inherit
         # the base no-op.
@@ -548,16 +352,7 @@ class FlatRuntime(RuntimeTelemetry):
         request.index = self._completed[u]
         request.completed_at = 0.0
         self._completed[u] += 1
-        g = self._ghost[u]
-        if g is not None:
-            g.append_write(request)
-        self.trace.emit(0.0, "write_done", u, arg=request.arg)
-        granted = self._granted
-        for t in range(self._off[u], self._off[u + 1]):
-            if granted[t]:
-                self._upcntr[u] += 1
-                self._forwardupdates(u, -1, self._upcntr[u])
-                break
+        self._forwardupdates(u)
 
     def submit_combine(
         self, request: Request, on_complete: Callable[[Request], None]
@@ -574,17 +369,26 @@ class FlatRuntime(RuntimeTelemetry):
         for t in range(lo, hi):
             if taken[t]:
                 self._uaw[t].clear()
-        if u not in self._pndg[u]:
-            if all(taken[t] for t in range(lo, hi)):
-                self._finish_combine(u, [(request, on_complete)])
-                return
+        if u in self._pndg[u]:
             self._waiters[u].append((request, on_complete))
-            self._sendprobes(u, u)
-            self._snt[u][u] = {
-                self._peer[t] for t in range(lo, hi) if not taken[t]
-            }
-        else:
-            self._waiters[u].append((request, on_complete))
+            return
+        if all(taken[t] for t in range(lo, hi)):
+            self._finish_combine(u, [(request, on_complete)])
+            return
+        self._waiters[u].append((request, on_complete))
+        # sendprobes(u); snt[u] = the open frontier.
+        already = self._sntprobes(u)
+        self._pndg[u].add(u)
+        peer = self._peer
+        rest = set()
+        for t in range(lo, hi):
+            if not taken[t]:
+                v = peer[t]
+                rest.add(v)
+                if v not in already:
+                    self.stats.sent(t, K_PROBE)
+                    self._queue.append(self._rev[t] << 3)
+        self._snt[u][u] = rest
 
     def _begin_scoped(
         self, request: Request, on_complete: Callable[[Request], None]
@@ -601,249 +405,48 @@ class FlatRuntime(RuntimeTelemetry):
             return
         waiters = self._scoped_waiters[u].setdefault(v, [])
         waiters.append((request, on_complete))
-        already: Set[int] = set()
-        for targets in self._snt[u].values():
-            already |= targets
-        if v not in already and len(waiters) == 1:
-            self._send_probe(s)
+        if len(waiters) == 1 and v not in self._sntprobes(u):
+            self.stats.sent(s, K_PROBE)
+            self._queue.append(self._rev[s] << 3)
 
     def _finish_combine(
         self, u: int, waiters: List[Tuple[Request, Callable]]
     ) -> None:
         value = self._gval(u)
-        g = self._ghost[u]
-        trace = self.trace
         completed = self._completed
         for request, on_complete in waiters:
             request.retval = value
             request.index = completed[u]
             request.completed_at = 0.0
             completed[u] += 1
-            if g is not None:
-                g.append_gather(request)
-            trace.emit(0.0, "combine_done", u, value=value)
             on_complete(request)
 
     def _finish_scoped(
         self, u: int, waiters: List[Tuple[Request, Callable]], s: int
     ) -> None:
         value = self._aval[s]
-        v = self._peer[s]
-        trace = self.trace
         completed = self._completed
         for request, on_complete in waiters:
             request.retval = value
             request.index = completed[u]
             request.completed_at = 0.0
             completed[u] += 1
-            trace.emit(0.0, "scoped_combine_done", u, toward=v, value=value)
             on_complete(request)
 
-    # ------------------------------------------------------------ procedures
-    def _sendprobes(self, u: int, w: int) -> None:
-        self._pndg[u].add(w)
-        already: Set[int] = set()
-        for targets in self._snt[u].values():
-            already |= targets
-        taken = self._taken
-        peer = self._peer
-        targets_out = [
-            peer[t]
-            for t in range(self._off[u], self._off[u + 1])
-            if not taken[t] and peer[t] != w and peer[t] not in already
-        ]
-        if targets_out:
-            self.trace.emit(0.0, "probe_round", u, requestor=w, targets=targets_out)
-        for v in targets_out:
-            self._send_probe(self._slot_index[(u, v)])
-
-    def _sendresponse(self, u: int, s: int) -> None:
-        w = self._peer[s]
-        taken = self._taken
-        peer = self._peer
-        others_open = any(
-            not taken[t] and peer[t] != w
-            for t in range(self._off[u], self._off[u + 1])
-        )
-        if not others_open:
-            new_flag = bool(self._p_set_lease(u, s))
-            if new_flag and not self._granted[s]:
-                self.trace.emit(0.0, "lease_granted", u, grantee=w)
-            self._granted[s] = new_flag
-        self._send_response(s, self._subval(u, s), self._granted[s], self._wlog(u))
-
-    def _forwardupdates(self, u: int, s_except: int, uid: int) -> None:
-        wlog = self._wlog(u)
+    def _forwardupdates(self, u: int) -> None:
+        """forwardupdates after a write at ``u``: one fresh update id, sent
+        to every grantee."""
         granted = self._granted
+        uid = 0
         for t in range(self._off[u], self._off[u + 1]):
-            if granted[t] and t != s_except:
-                self._send_update(t, self._subval(u, t), uid, wlog)
-
-    def _forwardrelease(self, u: int) -> None:
-        taken = self._taken
-        for t in range(self._off[u], self._off[u + 1]):
-            if taken[t] and self._isgood(u, t) and self._p_break_lease(u, t):
-                taken[t] = False
-                self.trace.emit(0.0, "lease_released", u, source=self._peer[t])
-                self._send_release(t, frozenset(self._uaw[t]))
-                self._uaw[t].clear()
-
-    def _onrelease(self, u: int, s_w: int, S: frozenset) -> None:
-        min_id = min(S) if S else None
-        taken = self._taken
-        uaw = self._uaw
-        win_nid = self._win_nid
-        for t in range(self._off[u], self._off[u + 1]):
-            if not taken[t] or t == s_w:
-                continue
-            if min_id is None:
-                uaw[t] = set()
-            else:
-                nids = win_nid[t]
-                i = bisect_left(nids, min_id)
-                if i < len(nids):
-                    beta = self._win_uid[t][i]
-                    uaw[t] = {x for x in uaw[t] if x >= beta}
-                else:
-                    uaw[t] = set()
-            if self._isgood(u, t):
-                self._p_release_policy(u, t)
-        self._forwardrelease(u)
-
-    # ------------------------------------------------------ slow transitions
-    def _recv_probe(self, s: int) -> None:
-        u = self._owner[s]
-        w = self._peer[s]
-        self._p_probe_rcvd(u, s)
-        taken = self._taken
-        lo = self._off[u]
-        hi = self._off[u + 1]
-        for t in range(lo, hi):
-            if taken[t] and t != s:
-                self._uaw[t].clear()
-        if w not in self._pndg[u]:
-            peer = self._peer
-            rest = {
-                peer[t] for t in range(lo, hi) if not taken[t] and peer[t] != w
-            }
-            if not rest:
-                self._sendresponse(u, s)
-            else:
-                self._sendprobes(u, w)
-                self._snt[u][w] = rest
-
-    def _recv_response(self, s: int, x: Any, flag: bool, wlog: Any) -> None:
-        u = self._owner[s]
-        w = self._peer[s]
-        self._p_response_rcvd(u, s, flag)
-        self._aval[s] = x
-        g = self._ghost[u]
-        if g is not None and wlog is not None:
-            g.merge(wlog)
-        if flag and not self._taken[s]:
-            self.trace.emit(0.0, "lease_acquired", u, source=w)
-        self._taken[s] = flag
-        scoped = self._scoped_waiters[u].pop(w, None)
-        if scoped:
-            self._finish_scoped(u, scoped, s)
-        pndg = self._pndg[u]
-        snt = self._snt[u]
-        for v in sorted(pndg):
-            targets = snt.get(v)
-            if targets is None:
-                continue
-            targets.discard(w)
-            if not targets:
-                pndg.discard(v)
-                del snt[v]
-                if v == u:
-                    waiters = self._waiters[u]
-                    self._waiters[u] = []
-                    self._finish_combine(u, waiters)
-                else:
-                    self._sendresponse(u, self._slot_index[(u, v)])
-
-    def _recv_update(self, s: int, x: Any, uid: int, wlog: Any) -> None:
-        u = self._owner[s]
-        self._p_update_rcvd(u, s)
-        self._aval[s] = x
-        g = self._ghost[u]
-        if g is not None and wlog is not None:
-            g.merge(wlog)
-        self._uaw[s].add(uid)
-        granted = self._granted
-        has_other = False
-        for t in range(self._off[u], self._off[u + 1]):
-            if granted[t] and t != s:
-                has_other = True
-                break
-        if has_other:
-            self._upcntr[u] += 1
-            nid = self._upcntr[u]
-            self._win_nid[s].append(nid)
-            self._win_uid[s].append(uid)
-            self._forwardupdates(u, s, nid)
-        else:
-            self._forwardrelease(u)
-
-    def _recv_release(self, s: int, S: frozenset) -> None:
-        u = self._owner[s]
-        if self._granted[s]:
-            self.trace.emit(0.0, "lease_broken", u, grantee=self._peer[s])
-        self._granted[s] = False
-        self._onrelease(u, s, S)
-
-    def _recv_revoke(self, s: int) -> None:
-        u = self._owner[s]
-        w = self._peer[s]
-        if self._taken[s]:
-            self.trace.emit(0.0, "lease_voided", u, source=w)
-        self._taken[s] = False
-        self._uaw[s].clear()
-        granted = self._granted
-        for t in range(self._off[u], self._off[u + 1]):
-            if granted[t] and t != s:
-                granted[t] = False
-                self.trace.emit(0.0, "lease_revoked", u, grantee=self._peer[t])
-                self._send_revoke(t)
-        # Renormalize (see LeaseNode._renormalize_after_revoke).
-        taken = self._taken
-        for t in range(self._off[u], self._off[u + 1]):
-            if taken[t] and self._isgood(u, t) and self._uaw[t]:
-                self._p_release_policy(u, t)
-        self._forwardrelease(u)
-        stuck = any(w in targets for targets in self._snt[u].values()) or bool(
-            self._scoped_waiters[u].get(w)
-        )
-        if stuck:
-            self._send_probe(s)
+            if granted[t]:
+                if not uid:
+                    self._upcntr[u] += 1
+                    uid = self._upcntr[u]
+                self.stats.sent(t, K_UPDATE)
+                self._queue.append((K_UPDATE, self._rev[t], self._subval(u, t), uid))
 
     # -------------------------------------------------------------- delivery
-    def _deliver(self, m: Any) -> None:
-        """Decode one interned message, emit ``recv``, run its transition."""
-        if type(m) is int:
-            k = m & 7
-            s = m >> 3
-            self.trace.emit(
-                0.0, "recv", self._owner[s], src=self._peer[s], msg=KIND_NAMES[k]
-            )
-            if k == K_PROBE:
-                self._recv_probe(s)
-            else:
-                self._recv_revoke(s)
-            return
-        k = m[0]
-        s = m[1]
-        self.trace.emit(
-            0.0, "recv", self._owner[s], src=self._peer[s], msg=KIND_NAMES[k]
-        )
-        if k == K_RESPONSE:
-            self._recv_response(s, m[2], m[3], m[4])
-        elif k == K_UPDATE:
-            self._recv_update(s, m[2], m[3], m[4])
-        else:
-            self._recv_release(s, m[2])
-
     def is_quiescent(self) -> bool:
         return not self._queue
 
@@ -852,46 +455,23 @@ class FlatRuntime(RuntimeTelemetry):
         if not self._queue:
             return
         prof = self.profiler
-        if (
-            not self.trace.enabled
-            and not self._ghost_enabled
-            and not self.crashed
-            and (prof is None or not prof.enabled)
-        ):
-            self._drain_fast()
+        if prof is None or not prof.enabled:
+            self._kernel()
             return
-        if prof is not None and prof.enabled:
-            prof.push("flat.drain")
-            try:
-                delivered = self._drain_slow()
-            finally:
-                prof.pop()
-            prof.count("messages_routed", delivered)
-        else:
-            self._drain_slow()
+        prof.push("flat.drain")
+        try:
+            delivered = self._kernel()
+        finally:
+            prof.pop()
+        prof.count("messages_routed", delivered)
 
-    def _drain_slow(self) -> int:
-        """Reference-faithful drain: full traces, ghost logs, crash holes."""
-        queue = self._queue
-        delivered = 0
-        while queue:
-            self._deliver(queue.popleft())
-            delivered += 1
-            if delivered > MAX_DELIVERIES:
-                raise RuntimeError(
-                    f"exceeded {MAX_DELIVERIES} deliveries; protocol livelock?"
-                )
-        return delivered
+    def _kernel(self) -> int:
+        """Deliver until the queue is empty; returns the delivery count.
 
-    def _drain_fast(self) -> None:
-        """The hot path: one inlined loop, every array in a local.
-
-        Preconditions (checked by :meth:`drain`): tracing off, ghost logs
-        off, no crashed nodes, profiler off.  Under those, transitions
-        cannot emit events and wlogs are always ``None``, so the loop
-        below is the exact composition of the slow-path transitions with
-        all dead branches removed.  Message accounting goes to local
-        pending buffers; ``stats._total`` is corrected once at exit.
+        One inlined loop with every array in a local, dispatching on the
+        message kind (probe / update / response / release).  Message
+        accounting goes to the pending buffers; ``stats._total`` is
+        corrected once at exit.
         """
         queue = self._queue
         pop = queue.popleft
@@ -929,6 +509,10 @@ class FlatRuntime(RuntimeTelemetry):
         is_ab = mode == M_AB
         is_never = mode == M_NEVER
         timed = is_rww or is_ab
+        # Modes whose break_lease can fire.  Never-lease mode never writes
+        # lt, so lt stays 0 and one "lt <= 0" test serves it and the timed
+        # modes alike.
+        breaks = timed or is_never
         nsent = 0
         delivered = 0
 
@@ -941,93 +525,27 @@ class FlatRuntime(RuntimeTelemetry):
                     f"exceeded {MAX_DELIVERIES} deliveries; protocol livelock?"
                 )
             if type(m) is int:
-                k = m & 7
+                # -------------------------------------------- T3: probe
                 s = m >> 3
-                if k == 0:
-                    # ---------------------------------------- T3: probe
-                    o = sib[s]
-                    if o >= 0:
-                        # Degree-2 owner: the sibling slot *is* the
-                        # "every neighbor but the sender" set.
-                        u = owner[s]
-                        if is_ab:
-                            cc[s] += 1
-                        tko = taken[o]
-                        if tko:
-                            if timed:
-                                lt[o] = pb[o]
-                                if is_ab:
-                                    cc[o] = 0
-                            uaw[o].clear()
-                        pndg = pndg_l[u]
-                        if peer[s] in pndg:
-                            continue
-                        if tko:
-                            # Closed frontier: grant-check + respond.
-                            if is_rww:
-                                granted[s] = True
-                            elif is_ab:
-                                if cc[s] >= pa[s]:
-                                    cc[s] = 0
-                                    granted[s] = True
-                                else:
-                                    granted[s] = False
-                            else:
-                                granted[s] = not is_never
-                            counts[s * 5 + 1] += 1
-                            nsent += 1
-                            push(
-                                (1, rev[s], combine(val[u], aval[o]),
-                                 granted[s], None)
-                            )
-                        else:
-                            pndg.add(peer[s])
-                            snt = snt_l[u]
-                            po = peer[o]
-                            if snt:
-                                already = False
-                                for tg in snt.values():
-                                    if po in tg:
-                                        already = True
-                                        break
-                            else:
-                                already = False
-                            if not already:
-                                counts[o * 5] += 1
-                                nsent += 1
-                                push(rev[o] << 3)
-                            snt[peer[s]] = {po}
-                        continue
+                o = sib[s]
+                if o >= 0:
+                    # Degree-2 owner: the sibling slot *is* the
+                    # "every neighbor but the sender" set.
                     u = owner[s]
-                    lo = off[u]
-                    hi = off[u + 1]
-                    w = peer[s]
-                    if is_rww:
-                        for t in range(lo, hi):
-                            if taken[t] and t != s:
-                                lt[t] = pb[t]
-                                uaw[t].clear()
-                    elif is_ab:
+                    if is_ab:
                         cc[s] += 1
-                        for t in range(lo, hi):
-                            if taken[t] and t != s:
-                                lt[t] = pb[t]
-                                cc[t] = 0
-                                uaw[t].clear()
-                    else:
-                        for t in range(lo, hi):
-                            if taken[t] and t != s:
-                                uaw[t].clear()
+                    tko = taken[o]
+                    if tko:
+                        if timed:
+                            lt[o] = pb[o]
+                            if is_ab:
+                                cc[o] = 0
+                        uaw[o].clear()
                     pndg = pndg_l[u]
-                    if w in pndg:
+                    if peer[s] in pndg:
                         continue
-                    closed = True
-                    for t in range(lo, hi):
-                        if not taken[t] and t != s:
-                            closed = False
-                            break
-                    if closed:
-                        # sendresponse(w): everything else is covered.
+                    if tko:
+                        # Closed frontier: grant-check + respond.
                         if is_rww:
                             granted[s] = True
                         elif is_ab:
@@ -1038,38 +556,95 @@ class FlatRuntime(RuntimeTelemetry):
                                 granted[s] = False
                         else:
                             granted[s] = not is_never
-                        x = val[u]
-                        for t in range(lo, hi):
-                            if t != s:
-                                x = combine(x, aval[t])
-                        counts[s * 5 + 1] += 1
+                        counts[s * 4 + 1] += 1
                         nsent += 1
-                        push((1, rev[s], x, granted[s], None))
+                        push((1, rev[s], combine(val[u], aval[o]), granted[s]))
                     else:
-                        # sendprobes(w); snt[w] = the open frontier.
-                        pndg.add(w)
+                        pndg.add(peer[s])
                         snt = snt_l[u]
+                        po = peer[o]
                         if snt:
-                            already = set()
+                            already = False
                             for tg in snt.values():
-                                already |= tg
+                                if po in tg:
+                                    already = True
+                                    break
                         else:
-                            already = ()
-                        rest = set()
-                        for t in range(lo, hi):
-                            if not taken[t]:
-                                v = peer[t]
-                                if v != w:
-                                    rest.add(v)
-                                    if v not in already:
-                                        counts[t * 5] += 1
-                                        nsent += 1
-                                        push(rev[t] << 3)
-                        snt[w] = rest
+                            already = False
+                        if not already:
+                            counts[o * 4] += 1
+                            nsent += 1
+                            push(rev[o] << 3)
+                        snt[peer[s]] = {po}
+                    continue
+                u = owner[s]
+                lo = off[u]
+                hi = off[u + 1]
+                w = peer[s]
+                if is_rww:
+                    for t in range(lo, hi):
+                        if taken[t] and t != s:
+                            lt[t] = pb[t]
+                            uaw[t].clear()
+                elif is_ab:
+                    cc[s] += 1
+                    for t in range(lo, hi):
+                        if taken[t] and t != s:
+                            lt[t] = pb[t]
+                            cc[t] = 0
+                            uaw[t].clear()
                 else:
-                    # Revoke — rare (post-recovery); take the slow
-                    # transition (its sends self-account immediately).
-                    self._recv_revoke(s)
+                    for t in range(lo, hi):
+                        if taken[t] and t != s:
+                            uaw[t].clear()
+                pndg = pndg_l[u]
+                if w in pndg:
+                    continue
+                closed = True
+                for t in range(lo, hi):
+                    if not taken[t] and t != s:
+                        closed = False
+                        break
+                if closed:
+                    # sendresponse(w): everything else is covered.
+                    if is_rww:
+                        granted[s] = True
+                    elif is_ab:
+                        if cc[s] >= pa[s]:
+                            cc[s] = 0
+                            granted[s] = True
+                        else:
+                            granted[s] = False
+                    else:
+                        granted[s] = not is_never
+                    x = val[u]
+                    for t in range(lo, hi):
+                        if t != s:
+                            x = combine(x, aval[t])
+                    counts[s * 4 + 1] += 1
+                    nsent += 1
+                    push((1, rev[s], x, granted[s]))
+                else:
+                    # sendprobes(w); snt[w] = the open frontier.
+                    pndg.add(w)
+                    snt = snt_l[u]
+                    if snt:
+                        already = set()
+                        for tg in snt.values():
+                            already |= tg
+                    else:
+                        already = ()
+                    rest = set()
+                    for t in range(lo, hi):
+                        if not taken[t]:
+                            v = peer[t]
+                            if v != w:
+                                rest.add(v)
+                                if v not in already:
+                                    counts[t * 4] += 1
+                                    nsent += 1
+                                    push(rev[t] << 3)
+                    snt[w] = rest
                 continue
 
             k = m[0]
@@ -1093,10 +668,10 @@ class FlatRuntime(RuntimeTelemetry):
                         upcntr[u] = nid
                         win_nid[s].append(nid)
                         win_uid[s].append(m[3])
-                        counts[o * 5 + 2] += 1
+                        counts[o * 4 + 2] += 1
                         nsent += 1
-                        push((2, rev[o], combine(val[u], aval[s]), nid, None))
-                    elif timed:
+                        push((2, rev[o], combine(val[u], aval[s]), nid))
+                    elif breaks:
                         # forwardrelease: break leases whose timer ran
                         # out, in slot order; "good for release" at a
                         # degree-2 node means the *other* slot has no
@@ -1105,31 +680,14 @@ class FlatRuntime(RuntimeTelemetry):
                         t2 = s + o - t1
                         if taken[t1] and lt[t1] <= 0 and not granted[t2]:
                             taken[t1] = False
-                            counts[t1 * 5 + 3] += 1
+                            counts[t1 * 4 + 3] += 1
                             nsent += 1
                             ut = uaw[t1]
                             push((3, rev[t1], frozenset(ut)))
                             ut.clear()
                         if taken[t2] and lt[t2] <= 0 and not granted[t1]:
                             taken[t2] = False
-                            counts[t2 * 5 + 3] += 1
-                            nsent += 1
-                            ut = uaw[t2]
-                            push((3, rev[t2], frozenset(ut)))
-                            ut.clear()
-                    elif is_never:
-                        t1 = s if s < o else o
-                        t2 = s + o - t1
-                        if taken[t1] and not granted[t2]:
-                            taken[t1] = False
-                            counts[t1 * 5 + 3] += 1
-                            nsent += 1
-                            ut = uaw[t1]
-                            push((3, rev[t1], frozenset(ut)))
-                            ut.clear()
-                        if taken[t2] and not granted[t1]:
-                            taken[t2] = False
-                            counts[t2 * 5 + 3] += 1
+                            counts[t2 * 4 + 3] += 1
                             nsent += 1
                             ut = uaw[t2]
                             push((3, rev[t2], frozenset(ut)))
@@ -1163,10 +721,10 @@ class FlatRuntime(RuntimeTelemetry):
                             for r in range(lo, hi):
                                 if r != t:
                                     x = combine(x, aval[r])
-                            counts[t * 5 + 2] += 1
+                            counts[t * 4 + 2] += 1
                             nsent += 1
-                            push((2, rev[t], x, nid, None))
-                elif timed:
+                            push((2, rev[t], x, nid))
+                elif breaks:
                     # forwardrelease(u) — leases whose timer ran out.
                     for t in range(lo, hi):
                         if taken[t] and lt[t] <= 0:
@@ -1177,22 +735,7 @@ class FlatRuntime(RuntimeTelemetry):
                                     break
                             if ok:
                                 taken[t] = False
-                                counts[t * 5 + 3] += 1
-                                nsent += 1
-                                ut = uaw[t]
-                                push((3, rev[t], frozenset(ut)))
-                                ut.clear()
-                elif is_never:
-                    for t in range(lo, hi):
-                        if taken[t]:
-                            ok = True
-                            for r in range(lo, hi):
-                                if granted[r] and r != t:
-                                    ok = False
-                                    break
-                            if ok:
-                                taken[t] = False
-                                counts[t * 5 + 3] += 1
+                                counts[t * 4 + 3] += 1
                                 nsent += 1
                                 ut = uaw[t]
                                 push((3, rev[t], frozenset(ut)))
@@ -1257,12 +800,12 @@ class FlatRuntime(RuntimeTelemetry):
                                                 granted[o] = False
                                         else:
                                             granted[o] = not is_never
-                                    counts[o * 5 + 1] += 1
+                                    counts[o * 4 + 1] += 1
                                     nsent += 1
                                     push(
                                         (1, rev[o],
                                          combine(val[u], aval[s]),
-                                         granted[o], None)
+                                         granted[o])
                                     )
                     continue
                 u = owner[s]
@@ -1313,8 +856,6 @@ class FlatRuntime(RuntimeTelemetry):
                                 if closed:
                                     if is_rww:
                                         granted[ts] = True
-                                        if timed:
-                                            pass
                                     elif is_ab:
                                         if cc[ts] >= pa[ts]:
                                             cc[ts] = 0
@@ -1327,16 +868,15 @@ class FlatRuntime(RuntimeTelemetry):
                                 for t in range(lo, hi):
                                     if t != ts:
                                         x = combine(x, aval[t])
-                                counts[ts * 5 + 1] += 1
+                                counts[ts * 4 + 1] += 1
                                 nsent += 1
-                                push((1, rev[ts], x, granted[ts], None))
+                                push((1, rev[ts], x, granted[ts]))
             else:
                 # ------------------------------------------- T6: release
                 o = sib[s]
                 if o >= 0:
                     # Degree-2 owner: the only other slot is the sibling,
                     # and clearing granted[s] makes it good-for-release.
-                    u = owner[s]
                     granted[s] = False
                     S = m[2]
                     if taken[o]:
@@ -1352,35 +892,20 @@ class FlatRuntime(RuntimeTelemetry):
                             uaw[o] = set()
                         if timed:
                             lt[o] -= len(uaw[o])
-                    # forwardrelease, in slot order.
-                    t1 = s if s < o else o
-                    t2 = s + o - t1
-                    if timed:
+                    if breaks:
+                        # forwardrelease, in slot order.
+                        t1 = s if s < o else o
+                        t2 = s + o - t1
                         if taken[t1] and lt[t1] <= 0 and not granted[t2]:
                             taken[t1] = False
-                            counts[t1 * 5 + 3] += 1
+                            counts[t1 * 4 + 3] += 1
                             nsent += 1
                             ut = uaw[t1]
                             push((3, rev[t1], frozenset(ut)))
                             ut.clear()
                         if taken[t2] and lt[t2] <= 0 and not granted[t1]:
                             taken[t2] = False
-                            counts[t2 * 5 + 3] += 1
-                            nsent += 1
-                            ut = uaw[t2]
-                            push((3, rev[t2], frozenset(ut)))
-                            ut.clear()
-                    elif is_never:
-                        if taken[t1] and not granted[t2]:
-                            taken[t1] = False
-                            counts[t1 * 5 + 3] += 1
-                            nsent += 1
-                            ut = uaw[t1]
-                            push((3, rev[t1], frozenset(ut)))
-                            ut.clear()
-                        if taken[t2] and not granted[t1]:
-                            taken[t2] = False
-                            counts[t2 * 5 + 3] += 1
+                            counts[t2 * 4 + 3] += 1
                             nsent += 1
                             ut = uaw[t2]
                             push((3, rev[t2], frozenset(ut)))
@@ -1412,8 +937,8 @@ class FlatRuntime(RuntimeTelemetry):
                                     break
                             if ok:
                                 lt[t] -= len(uaw[t])
-                # forwardrelease(u)
-                if timed:
+                if breaks:
+                    # forwardrelease(u)
                     for t in range(lo, hi):
                         if taken[t] and lt[t] <= 0:
                             ok = True
@@ -1423,35 +948,20 @@ class FlatRuntime(RuntimeTelemetry):
                                     break
                             if ok:
                                 taken[t] = False
-                                counts[t * 5 + 3] += 1
-                                nsent += 1
-                                ut = uaw[t]
-                                push((3, rev[t], frozenset(ut)))
-                                ut.clear()
-                elif is_never:
-                    for t in range(lo, hi):
-                        if taken[t]:
-                            ok = True
-                            for r in range(lo, hi):
-                                if granted[r] and r != t:
-                                    ok = False
-                                    break
-                            if ok:
-                                taken[t] = False
-                                counts[t * 5 + 3] += 1
+                                counts[t * 4 + 3] += 1
                                 nsent += 1
                                 ut = uaw[t]
                                 push((3, rev[t], frozenset(ut)))
                                 ut.clear()
 
         stats._total += nsent
+        return delivered
 
     # -------------------------------------------------- write coalescing
     def run_write_batch(self, requests: List[Request]) -> None:
         """Apply a batch of writes with per-edge update coalescing.
 
-        With ``coalesce_updates`` (or always through this entry point),
-        the k writes a node absorbs within one batch trigger at most
+        The k writes a node absorbs within one batch trigger at most
         *one* ``update`` per granted edge — carrying the final subval —
         instead of k.  Receivers see a single update id per edge, so
         lease timers are charged once per batch rather than once per
@@ -1471,111 +981,12 @@ class FlatRuntime(RuntimeTelemetry):
             request.index = self._completed[u]
             request.completed_at = 0.0
             self._completed[u] += 1
-            g = self._ghost[u]
-            if g is not None:
-                g.append_write(request)
-            self.trace.emit(0.0, "write_done", u, arg=request.arg)
             if u not in seen:
                 seen.add(u)
                 dirty_nodes.append(u)
-        granted = self._granted
         for u in dirty_nodes:
-            for t in range(self._off[u], self._off[u + 1]):
-                if granted[t]:
-                    self._upcntr[u] += 1
-                    self._forwardupdates(u, -1, self._upcntr[u])
-                    break
+            self._forwardupdates(u)
         self.drain()
-
-    # ------------------------------------------------------- crash recovery
-    def add_failure_listener(self, fn: Callable[[List[Request]], None]) -> None:
-        """Register a callback receiving the requests a crash killed."""
-        self._failure_listeners.append(fn)
-
-    def crash(self, node_id: int, *, emit_trace: bool = True) -> List[Request]:
-        """Crash a node: black-hole its traffic, lose its volatile state.
-
-        Mirrors ``NodeRuntime.crash`` + ``SynchronousNetwork.crash_node``
-        + ``LeaseNode.crash_volatile``; idempotent.
-        """
-        if node_id in self.crashed:
-            return []
-        if emit_trace:
-            self.trace.emit(0.0, "node_crash", node_id)
-        self.crashed.add(node_id)
-        # Queued messages to the node die as declared losses.
-        owner = self._owner
-        peer = self._peer
-        survivors: deque = deque()
-        for m in self._queue:
-            if type(m) is int:
-                s = m >> 3
-                kind = KIND_NAMES[m & 7]
-            else:
-                s = m[1]
-                kind = KIND_NAMES[m[0]]
-            if owner[s] == node_id:
-                self.trace.emit(
-                    0.0,
-                    "delivery_failed",
-                    peer[s],
-                    dst=node_id,
-                    msg=kind,
-                    seq=-1,
-                    attempts=0,
-                )
-            else:
-                survivors.append(m)
-        self._queue = survivors
-        # Volatile state: open rounds and waiters die with the node.
-        u = node_id
-        failed = [q for q, _ in self._waiters[u]]
-        self._waiters[u] = []
-        for ws in self._scoped_waiters[u].values():
-            failed.extend(q for q, _ in ws)
-        self._scoped_waiters[u] = {}
-        self._pndg[u].clear()
-        self._snt[u].clear()
-        if failed:
-            for fn in self._failure_listeners:
-                fn(failed)
-        return failed
-
-    def recover(
-        self, node_id: int, *, emit_trace: bool = True, reestablish: bool = True
-    ) -> None:
-        """Recover a crashed node (mirrors ``LeaseNode.recover_reconcile``)."""
-        if node_id not in self.crashed:
-            return
-        if emit_trace:
-            self.trace.emit(0.0, "node_recover", node_id)
-        self.crashed.discard(node_id)
-        u = node_id
-        ident = self.op.identity
-        trace = self.trace
-        peer = self._peer
-        lo = self._off[u]
-        hi = self._off[u + 1]
-        for t in range(lo, hi):
-            v = peer[t]
-            if self._taken[t]:
-                trace.emit(0.0, "lease_voided", u, source=v)
-            if self._granted[t]:
-                trace.emit(0.0, "lease_revoked", u, grantee=v)
-            self._taken[t] = False
-            self._granted[t] = False
-            self._aval[t] = ident
-            self._uaw[t] = set()
-            # Policy detach + attach: fresh per-edge bookkeeping.
-            self._lt[t] = 0
-            self._cc[t] = 0
-            self._send_release(t, frozenset())
-            self._send_revoke(t)
-            self._win_nid[t] = []
-            self._win_uid[t] = []
-        if reestablish and hi > lo:
-            self._sendprobes(u, u)
-            self._snt[u][u] = {peer[t] for t in range(lo, hi)}
 
     def _sntupdates_list(self, u: int) -> List[Tuple[int, int, int]]:
         """Node ``u``'s ``sntupdates`` ledger, reconstructed from the
@@ -1598,18 +1009,6 @@ class FlatRuntime(RuntimeTelemetry):
         entries.sort()
         return [e[1] for e in entries]
 
-    def _set_sntupdates(self, u: int, value: List[Tuple[int, int, int]]) -> None:
-        """Restore ``u``'s ledger whole (checkpoint restore path)."""
-        for t in range(self._off[u], self._off[u + 1]):
-            self._win_nid[t] = []
-            self._win_uid[t] = []
-        slot_index = self._slot_index
-        for w, uid, nid in value:
-            t = slot_index.get((u, w))
-            if t is not None:
-                self._win_nid[t].append(nid)
-                self._win_uid[t].append(uid)
-
     # ------------------------------------------------------------- topology
     def set_topology(self, *args: Any, **kwargs: Any) -> None:
         raise BackendUnsupported(
@@ -1621,36 +1020,21 @@ class FlatRuntime(RuntimeTelemetry):
 
     # --------------------------------------------------------- verification
     def state_snapshot(self) -> Tuple[Any, ...]:
-        """Bit-identical to ``NodeRuntime.state_snapshot`` (pinned by tests)."""
-        snap: Tuple[Any, ...] = (
+        """Bit-identical to ``NodeRuntime.state_snapshot`` of the same
+        quiescent state (pinned by tests); in-flight states are the
+        model checker's, which runs on the reference backend."""
+        if self._queue:
+            raise RuntimeError(
+                "the flat backend renders quiescent states only; drain first"
+            )
+        return (
             tuple(self.nodes[i].state_snapshot() for i in range(self.tree.n)),
-            self.network.pending_snapshot(),
+            (),
         )
-        if self.crashed:
-            snap += (("crashed", tuple(sorted(self.crashed))),)
-        return snap
-
-    def fork(self) -> "FlatRuntime":
-        """An independent deep copy (model-checker branching point)."""
-        return copy.deepcopy(self)
-
-    def __deepcopy__(self, memo: dict) -> "FlatRuntime":
-        cls = self.__class__
-        clone = cls.__new__(cls)
-        memo[id(self)] = clone
-        for k, v in self.__dict__.items():
-            if k == "_views":
-                # Node views deep-copy into plain dicts by design
-                # (checkpoint rendering); the clone rebuilds live views
-                # lazily instead.
-                setattr(clone, k, None)
-            else:
-                setattr(clone, k, copy.deepcopy(v, memo))
-        return clone
 
     def check_quiescent_invariants(self) -> None:
         """Assert the paper's quiescent-state lemmas on the current state."""
-        _check_invariants(self.tree, self.nodes, self.network)
+        _check_invariants(self.tree, self.nodes, self)
 
     def lease_graph_edges(self) -> List[tuple]:
         """Directed edges (u, v) with ``u.granted[v]`` — the lease graph."""

@@ -1,35 +1,27 @@
-"""Live node views over the flat runtime's arrays.
+"""Live, read-only node views over the flat runtime's arrays.
 
 The flat backend has no per-node objects — but everything *around* the
-engines (monitors, golden tests, checkpoints, the model checker's
-terminal checks) inspects nodes through the ``LeaseNode`` attribute
+engines (the quiescent-invariant checker, monitors, golden tests,
+``state_snapshot()``) inspects nodes through the ``LeaseNode`` attribute
 surface: ``node.taken[v]``, ``node.pndg``, ``vars(node.policy)``,
 ``node.state_snapshot()``...  This module provides that surface as thin
 live views: a :class:`FlatNode` per node id whose per-neighbor tables
-are :class:`_SlotMap` mutable mappings backed directly by the runtime's
-slot arrays.  Reads and writes go straight through, so
-:class:`~repro.recovery.checkpoint.Checkpoint` capture/restore works on
-a flat backend unchanged — ``__deepcopy__`` renders a view as the plain
-dict the checkpoint digest expects.
+are :class:`_SlotMap` mappings reading the runtime's slot arrays.  Views
+never write; the runtime's kernel is the only code that changes flat
+protocol state.
 """
 
 from __future__ import annotations
 
-import copy
-from typing import Any, Dict, Iterator, List, MutableMapping, Optional, Set, Tuple
+from typing import Any, Dict, Iterator, List, Mapping, Set, Tuple
 
 from repro.util.canon import canonical_value
 
 __all__ = ["FlatNode", "_FlatPolicyView", "_SlotMap"]
 
 
-class _SlotMap(MutableMapping):
-    """``{neighbor id: value}`` view over one node's span of a slot array.
-
-    Keys are fixed (the node's neighbors); values read and write the
-    backing array in place.  Deep copies materialize as a plain dict so
-    snapshot/digest consumers see ordinary data.
-    """
+class _SlotMap(Mapping):
+    """``{neighbor id: value}`` view over one node's span of a slot array."""
 
     __slots__ = ("_rt", "_node", "_array")
 
@@ -38,20 +30,11 @@ class _SlotMap(MutableMapping):
         self._node = node
         self._array = array
 
-    def _slot(self, v: int) -> int:
+    def __getitem__(self, v: int) -> Any:
         s = self._rt._slot_index.get((self._node, v))
         if s is None:
             raise KeyError(v)
-        return s
-
-    def __getitem__(self, v: int) -> Any:
-        return self._array[self._slot(v)]
-
-    def __setitem__(self, v: int, value: Any) -> None:
-        self._array[self._slot(v)] = value
-
-    def __delitem__(self, v: int) -> None:
-        raise TypeError("flat per-neighbor tables have a fixed key set")
+        return self._array[s]
 
     def __iter__(self) -> Iterator[int]:
         rt = self._rt
@@ -63,9 +46,6 @@ class _SlotMap(MutableMapping):
         u = self._node
         return rt._off[u + 1] - rt._off[u]
 
-    def __deepcopy__(self, memo: dict) -> Dict[int, Any]:
-        return {v: copy.deepcopy(self[v], memo) for v in self}
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return repr(dict(self))
 
@@ -76,48 +56,38 @@ class _FlatPolicyView:
     Exposes the flattened policy's bookkeeping with the exact attribute
     shape of the original policy class (``lt`` for RWW; ``a``/``b``/
     ``lt``/``cc`` for (a,b); ``params``/``default``/``lt``/``cc`` for the
-    heterogeneous variant), so ``vars(node.policy)`` and checkpoint
-    policy-state round-trips behave as on the reference backend.
-    Assigning a plain dict to ``lt``/``cc`` (checkpoint restore) writes
-    through into the arrays; the structural parameters are fixed at
-    construction.
+    heterogeneous variant), so ``vars(node.policy)`` renders as on the
+    reference backend.
     """
 
     def __init__(self, rt: Any, node: int) -> None:
         spec = rt._specs[node]
-        d = self.__dict__
         render = spec.render
         if render == "ab":
-            d["a"] = spec.a
-            d["b"] = spec.b
+            self.a = spec.a
+            self.b = spec.b
         elif render == "het":
-            d["params"] = dict(spec.params)
-            d["default"] = tuple(spec.default)
+            self.params = dict(spec.params)
+            self.default = tuple(spec.default)
         if render in ("rww", "ab", "het"):
-            d["lt"] = _SlotMap(rt, node, rt._lt)
+            self.lt = _SlotMap(rt, node, rt._lt)
         if render in ("ab", "het"):
-            d["cc"] = _SlotMap(rt, node, rt._cc)
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        current = self.__dict__.get(name)
-        if isinstance(current, _SlotMap) and isinstance(value, dict):
-            for v, x in value.items():
-                if v in current:
-                    current[v] = x
-            return
-        object.__setattr__(self, name, value)
+            self.cc = _SlotMap(rt, node, rt._cc)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"_FlatPolicyView({self.__dict__!r})"
 
 
 class FlatNode:
-    """Read/write view of one node's protocol state in a flat runtime.
+    """Read-only view of one node's protocol state in a flat runtime.
 
-    Implements the inspection and initiation surface of
+    Implements the inspection surface of
     :class:`~repro.core.mechanism.LeaseNode`; message handling lives in
-    the runtime's drain loop, not here.
+    the runtime's kernel, request initiation in its ``submit_*`` methods.
     """
+
+    #: The flat backend keeps no ghost logs (they need the reference one).
+    ghost = None
 
     def __init__(self, rt: Any, node_id: int) -> None:
         self._rt = rt
@@ -148,10 +118,6 @@ class FlatNode:
     def val(self) -> Any:
         return self._rt._val[self.id]
 
-    @val.setter
-    def val(self, value: Any) -> None:
-        self._rt._val[self.id] = value
-
     @property
     def pndg(self) -> Set[int]:
         return self._rt._pndg[self.id]
@@ -164,37 +130,13 @@ class FlatNode:
     def upcntr(self) -> int:
         return self._rt._upcntr[self.id]
 
-    @upcntr.setter
-    def upcntr(self, value: int) -> None:
-        self._rt._upcntr[self.id] = value
-
     @property
     def sntupdates(self) -> List[Tuple[int, int, int]]:
         return self._rt._sntupdates_list(self.id)
 
-    @sntupdates.setter
-    def sntupdates(self, value: List[Tuple[int, int, int]]) -> None:
-        self._rt._set_sntupdates(self.id, list(value))
-
     @property
     def completed_requests(self) -> int:
         return self._rt._completed[self.id]
-
-    @completed_requests.setter
-    def completed_requests(self, value: int) -> None:
-        self._rt._completed[self.id] = value
-
-    @property
-    def ghost(self) -> Optional[Any]:
-        return self._rt._ghost[self.id]
-
-    @property
-    def _waiters(self) -> List[Any]:
-        return self._rt._waiters[self.id]
-
-    @property
-    def _scoped_waiters(self) -> Dict[int, List[Any]]:
-        return self._rt._scoped_waiters[self.id]
 
     # ------------------------------------------------------------- derived
     def tkn(self) -> List[int]:
@@ -204,10 +146,7 @@ class FlatNode:
         return [v for v in self.nbrs if self.granted[v]]
 
     def sntprobes(self) -> Set[int]:
-        out: Set[int] = set()
-        for targets in self.snt.values():
-            out |= targets
-        return out
+        return self._rt._sntprobes(self.id)
 
     def gval(self) -> Any:
         return self._rt._gval(self.id)
@@ -219,16 +158,6 @@ class FlatNode:
     def isgoodforrelease(self, w: int) -> bool:
         return not any(self.granted[v] for v in self.nbrs if v != w)
 
-    # ----------------------------------------------------------- initiation
-    def write(self, request: Any) -> None:
-        self._rt.submit_write(request)
-
-    def begin_combine(self, request: Any, on_complete: Any) -> None:
-        self._rt.submit_combine(request, on_complete)
-
-    def begin_scoped_combine(self, request: Any, on_complete: Any) -> None:
-        self._rt.submit_combine(request, on_complete)
-
     # --------------------------------------------------------- verification
     def has_pending(self) -> bool:
         rt = self._rt
@@ -239,7 +168,7 @@ class FlatNode:
 
     def state_snapshot(self) -> Tuple[Any, ...]:
         """Byte-identical to :meth:`LeaseNode.state_snapshot` (pinned by
-        tests): same tuple layout, same synthesized policy/ghost state."""
+        tests): same tuple layout, same synthesized policy state."""
         rt = self._rt
         u = self.id
         nbrs = self.nbrs
@@ -248,15 +177,6 @@ class FlatNode:
                 k: (dict(v) if isinstance(v, _SlotMap) else v)
                 for k, v in vars(self.policy).items()
             }
-        )
-        ghost = rt._ghost[u]
-        ghost_state = (
-            (
-                tuple(canonical_value(q) for q in ghost.log),
-                tuple(canonical_value(q) for q in ghost.wlog),
-            )
-            if ghost is not None
-            else None
         )
         return (
             u,
@@ -279,7 +199,7 @@ class FlatNode:
                 )
             ),
             policy_state,
-            ghost_state,
+            None,  # ghost state
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -46,16 +46,6 @@ class MessageStats:
         self._counts[(src, dst)][kind] += 1
         self._total += 1
 
-    def record_many(self, src: int, dst: int, kind: str, n: int) -> None:
-        """Count ``n`` messages of ``kind`` on ``(src, dst)`` at once.
-
-        The bulk entry point batch-oriented senders use (the flat
-        backend's drain loop flushes its per-edge counters through here);
-        equivalent to ``n`` calls of :meth:`record`.
-        """
-        self._counts[(src, dst)][kind] += n
-        self._total += n
-
     def record_overhead(self, src: int, dst: int, kind: str) -> None:
         """Count one *recovery-overhead* event on ``(src, dst)``.
 

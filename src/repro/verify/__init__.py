@@ -11,7 +11,8 @@ package checks them in complementary, stronger ways:
 * :mod:`repro.verify.effects` — flow-sensitive static effect analysis of
   the protocol handlers: per received message kind, the sends (by neighbor
   role), trace emits, and node-state reads/writes, extracted from both the
-  reference ``core`` implementation and its ``flat`` twin.  Checked against
+  reference ``core`` implementation and the ``flat`` backend's kernel
+  (projected onto flat's declared scope).  Checked against
   the golden reaction spec (:mod:`repro.verify.reaction_spec`, rules
   PL50x) and used to *derive* the explorer's partial-order-reduction
   independence relation from read/write sets instead of trusting a

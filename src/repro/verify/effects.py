@@ -4,8 +4,9 @@ The paper's correctness argument (Lemmas 3.1/3.3, Theorems 1-4) rests on
 each node reacting to one received message kind with a *bounded, known* set
 of sends and state mutations.  This module pins that reaction graph
 statically: a call-graph-, alias- and role-sensitive AST analysis over the
-:class:`~repro.core.mechanism.LeaseNode` ``_DISPATCH`` handlers (and their
-vectorized twins in :mod:`repro.flat.runtime`) extracts, per received
+:class:`~repro.core.mechanism.LeaseNode` ``_DISPATCH`` handlers (and over
+the kind dispatch of the flat backend's kernel,
+:meth:`repro.flat.runtime.FlatRuntime._kernel`) extracts, per received
 message kind, the **effect set**
 
 * message kinds sent, tagged with the *neighbor role* of the destination —
@@ -29,8 +30,9 @@ Three consumers share this one source of truth:
    :func:`repro.verify.protolint.run_lint`): the extracted sets are
    compared against the declared golden spec in
    :mod:`repro.verify.reaction_spec` and against each other (core vs
-   flat), so protocol drift between the backends or against the paper is a
-   lint failure rather than a flaky integration test.
+   flat, projected onto flat's declared scope), so protocol drift between
+   the backends or against the paper is a lint failure rather than a
+   flaky integration test.
 2. **Derived POR independence** (:func:`derived_independence`): the model
    checker's claim that two deliveries to distinct nodes commute is
    *derived* here from the extracted footprints — every handler write is
@@ -69,6 +71,8 @@ __all__ = [
     "extract_core_effects",
     "extract_flat_effects",
     "extract_reaction_graph",
+    "flat_scope",
+    "FLAT_KINDS",
     "check_reaction",
     "derived_independence",
     "reaction_graph_json",
@@ -197,6 +201,14 @@ class _Effects:
     def add_send(self, kind: str, role: str) -> None:
         self.sends.setdefault(kind, set()).add(role)
 
+    def absorb(self, other: "_Effects") -> None:
+        for kind, roles in other.sends.items():
+            self.sends.setdefault(kind, set()).update(roles)
+        self.emits |= other.emits
+        self.reads |= other.reads
+        self.writes |= other.writes
+        self.unknown |= other.unknown
+
     def freeze(self) -> EffectSet:
         return EffectSet.make(
             self.sends, self.emits, self.reads, self.writes, self.unknown
@@ -268,6 +280,7 @@ class _ImplConfig:
         read_only: Set[str],
         send_primitives: Dict[str, str],
         policy_attr: Optional[str],
+        wire_codes: Optional[Dict[int, str]] = None,
     ) -> None:
         #: raw attribute -> normalized field name.
         self.state_map = state_map
@@ -280,6 +293,50 @@ class _ImplConfig:
         self.send_primitives = send_primitives
         #: attribute whose method calls are policy hooks (core only).
         self.policy_attr = policy_attr
+        #: flat only: wire code -> kind, for decoding messages appended to
+        #: the ``_queue`` wire (see :func:`_decode_interned`).
+        self.wire_codes = wire_codes
+
+
+@dataclass
+class _Scope:
+    """The name bindings of one method (or kernel) traversal."""
+
+    #: local -> neighbor role ("src" for the triggering message's sender).
+    roles: Dict[str, str]
+    stack: FrozenSet[str]
+    #: local -> normalized state field it aliases.
+    aliases: Dict[str, str] = field(default_factory=dict)
+    #: local -> read-only attribute it aliases (``rev = self._rev``).
+    shared: Dict[str, str] = field(default_factory=dict)
+    #: locals bound to the wire queue's ``append`` (``push``).
+    pushers: Set[str] = field(default_factory=set)
+    locals_seen: Set[str] = field(default_factory=set)
+    globals_declared: Set[str] = field(default_factory=set)
+
+
+def _decode_interned(
+    msg: ast.expr, codes: Dict[int, str]
+) -> Optional[Tuple[str, ast.expr]]:
+    """A message appended to the flat wire -> (kind, destination slot
+    expression).
+
+    Tuples carry ``(code, slot, ...)``.  The only int form is
+    ``slot << 3``: code 0 in the low three bits.
+    """
+    if isinstance(msg, ast.Tuple) and len(msg.elts) >= 2:
+        code = msg.elts[0]
+        if isinstance(code, ast.Constant) and code.value in codes:
+            return codes[code.value], msg.elts[1]
+    if (
+        isinstance(msg, ast.BinOp)
+        and isinstance(msg.op, ast.LShift)
+        and isinstance(msg.right, ast.Constant)
+        and msg.right.value == 3
+        and 0 in codes
+    ):
+        return codes[0], msg.left
+    return None
 
 
 class _MethodWalker:
@@ -318,7 +375,7 @@ class _MethodWalker:
         if norm is not None:
             self.out.reads.add(norm)
 
-    def _record_write(self, attr: str, line: int) -> None:
+    def _record_write(self, attr: str) -> None:
         norm = self.config.state_map.get(attr)
         if norm is not None:
             self.out.writes.add(norm)
@@ -327,61 +384,69 @@ class _MethodWalker:
         else:
             self.out.unknown.add(f"write to non-state attribute '{attr}'")
 
+    def _shared_attr(self, expr: ast.expr, scope: _Scope) -> Optional[str]:
+        """Read-only attribute ``expr`` names: ``self.X`` or a local alias."""
+        attr = _self_attr(expr)
+        if attr is None and isinstance(expr, ast.Name):
+            attr = scope.shared.get(expr.id)
+        return attr if attr in self.config.read_only else None
+
     # -- traversal -----------------------------------------------------
     def walk(self, method: str, roles: Dict[str, str], stack: FrozenSet[str]) -> None:
         fn = self.cls.methods.get(method)
         if fn is None or method in stack:
             return
-        stack = stack | {method}
-        aliases: Dict[str, str] = {}
-        locals_seen: Set[str] = {
-            a.arg for a in fn.args.args + fn.args.kwonlyargs
-        }
-        globals_declared: Set[str] = set()
-        for node in ast.walk(fn):
-            if isinstance(node, (ast.Global, ast.Nonlocal)):
-                globals_declared.update(node.names)
-            elif isinstance(node, (ast.For, ast.comprehension)):
-                target = node.target
-                for t in ast.walk(target):
-                    if isinstance(t, ast.Name):
-                        locals_seen.add(t.id)
-            elif isinstance(node, ast.Assign):
-                self._handle_assign_targets(
-                    node.targets, node.value, aliases, locals_seen, globals_declared
-                )
-            elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                self._handle_assign_targets(
-                    [node.target], node.value, aliases, locals_seen, globals_declared
-                )
-            elif isinstance(node, ast.AugAssign):
-                self._handle_store_target(
-                    node.target, aliases, locals_seen, globals_declared
-                )
-                attr = _self_attr(node.target)
-                if attr is not None:
-                    self._record_read(attr)
-            elif isinstance(node, ast.Delete):
-                for t in node.targets:
-                    self._handle_store_target(
-                        t, aliases, locals_seen, globals_declared
-                    )
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                if isinstance(node.value, ast.Name) and node.value.id == "self":
-                    self._record_read(node.attr)
-            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                if node.id in aliases:
-                    self.out.reads.add(aliases[node.id])
-            elif isinstance(node, ast.Call):
-                self._handle_call(node, roles, aliases, stack)
+        scope = _Scope(
+            roles=roles,
+            stack=stack | {method},
+            locals_seen={a.arg for a in fn.args.args + fn.args.kwonlyargs},
+        )
+        self.scan([fn], scope)
+
+    def collect(self, roots: Iterable[ast.AST], scope: _Scope) -> _Effects:
+        """The effects of ``roots`` alone (name bindings go to ``scope``)."""
+        out, self.out = self.out, _Effects()
+        try:
+            self.scan(roots, scope)
+            return self.out
+        finally:
+            self.out = out
+
+    def scan(self, roots: Iterable[ast.AST], scope: _Scope) -> None:
+        for root in roots:
+            for node in ast.walk(root):
+                self._visit(node, scope)
+
+    def _visit(self, node: ast.AST, scope: _Scope) -> None:
+        if isinstance(node, (ast.Global, ast.Nonlocal)):
+            scope.globals_declared.update(node.names)
+        elif isinstance(node, (ast.For, ast.comprehension)):
+            for t in ast.walk(node.target):
+                if isinstance(t, ast.Name):
+                    scope.locals_seen.add(t.id)
+        elif isinstance(node, ast.Assign):
+            self._handle_assign_targets(node.targets, node.value, scope)
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            self._handle_assign_targets([node.target], node.value, scope)
+        elif isinstance(node, ast.AugAssign):
+            self._handle_store_target(node.target, scope)
+            attr = _self_attr(node.target)
+            if attr is not None:
+                self._record_read(attr)
+        elif isinstance(node, ast.Delete):
+            for t in node.targets:
+                self._handle_store_target(t, scope)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            if isinstance(node.value, ast.Name) and node.value.id == "self":
+                self._record_read(node.attr)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            if node.id in scope.aliases:
+                self.out.reads.add(scope.aliases[node.id])
+        elif isinstance(node, ast.Call):
+            self._handle_call(node, scope)
 
     def _handle_assign_targets(
-        self,
-        targets: List[ast.expr],
-        value: ast.expr,
-        aliases: Dict[str, str],
-        locals_seen: Set[str],
-        globals_declared: Set[str],
+        self, targets: List[ast.expr], value: ast.expr, scope: _Scope
     ) -> None:
         # Pairwise-match tuple targets to tuple values so swap idioms like
         # ``waiters, self._waiters = self._waiters, []`` resolve per-slot.
@@ -392,27 +457,28 @@ class _MethodWalker:
             and len(targets[0].elts) == len(value.elts)
         ):
             for t, v in zip(targets[0].elts, value.elts):
-                self._handle_assign_targets(
-                    [t], v, aliases, locals_seen, globals_declared
-                )
+                self._handle_assign_targets([t], v, scope)
             return
         for target in targets:
             if isinstance(target, ast.Name):
-                locals_seen.add(target.id)
-                if target.id in globals_declared:
-                    self.out.unknown.add(
-                        f"write to module global '{target.id}'"
-                    )
+                name = target.id
+                scope.locals_seen.add(name)
+                if name in scope.globals_declared:
+                    self.out.unknown.add(f"write to module global '{name}'")
                     continue
-                alias = self._alias_of(value, aliases)
+                for table in (scope.aliases, scope.shared):
+                    table.pop(name, None)
+                scope.pushers.discard(name)
+                alias = self._alias_of(value, scope.aliases)
+                shared = self._shared_attr(value, scope)
                 if alias is not None:
-                    aliases[target.id] = alias
-                else:
-                    aliases.pop(target.id, None)
+                    scope.aliases[name] = alias
+                elif shared is not None:
+                    scope.shared[name] = shared
+                elif self._is_queue_append(value, scope):
+                    scope.pushers.add(name)
             else:
-                self._handle_store_target(
-                    target, aliases, locals_seen, globals_declared
-                )
+                self._handle_store_target(target, scope)
 
     def _alias_of(self, value: ast.expr, aliases: Dict[str, str]) -> Optional[str]:
         """Normalized field a local is an alias of, if any: ``self.X``,
@@ -428,16 +494,10 @@ class _MethodWalker:
             return aliases.get(base)
         return None
 
-    def _handle_store_target(
-        self,
-        target: ast.expr,
-        aliases: Dict[str, str],
-        locals_seen: Set[str],
-        globals_declared: Set[str],
-    ) -> None:
+    def _handle_store_target(self, target: ast.expr, scope: _Scope) -> None:
         attr = _self_attr(target)
         if attr is not None:
-            self._record_write(attr, target.lineno)
+            self._record_write(attr)
             return
         base = _base_name(target)
         if base is None:
@@ -445,22 +505,53 @@ class _MethodWalker:
         if isinstance(target, ast.Name):
             return  # plain local rebind, handled by _handle_assign_targets
         # Subscript store through a local: an alias of node state writes the
-        # state; a plain local container is fine; an attribute store on a
-        # name that was never bound locally targets shared module/class
-        # state and breaks node locality.
-        if base in aliases:
-            self.out.writes.add(aliases[base])
-        elif base not in locals_seen and base != "self":
+        # state; an alias of a read-only attribute breaks node locality; a
+        # plain local container is fine; a store through a name that was
+        # never bound locally targets shared module/class state.
+        if base in scope.aliases:
+            self.out.writes.add(scope.aliases[base])
+        elif base in scope.shared:
+            self._record_write(scope.shared[base])
+        elif base not in scope.locals_seen and base != "self":
             self.out.unknown.add(f"write through non-local name '{base}'")
 
-    def _handle_call(
-        self,
-        node: ast.Call,
-        roles: Dict[str, str],
-        aliases: Dict[str, str],
-        stack: FrozenSet[str],
-    ) -> None:
+    def _is_queue_append(self, expr: ast.expr, scope: _Scope) -> bool:
+        """``<wire queue>.append`` (flat: ``self._queue`` or its alias)."""
+        return (
+            self.config.wire_codes is not None
+            and isinstance(expr, ast.Attribute)
+            and expr.attr == "append"
+            and self._shared_attr(expr.value, scope) == "_queue"
+        )
+
+    def _handle_push(self, node: ast.Call, scope: _Scope) -> None:
+        """A message appended to the flat wire: its kind from the interned
+        form, its role from the destination slot — ``rev[s]`` reaches the
+        sender of the message being handled."""
+        decoded = (
+            _decode_interned(node.args[0], self.config.wire_codes or {})
+            if len(node.args) == 1
+            else None
+        )
+        if decoded is None:
+            self.out.unknown.add("wire push of an undecodable message")
+            return
+        kind, dest = decoded
+        if not (
+            isinstance(dest, ast.Subscript)
+            and self._shared_attr(dest.value, scope) == "_rev"
+        ):
+            self.out.unknown.add(f"{kind} pushed to a slot that is not rev[...]")
+            return
+        self.out.add_send(kind, self._role_of(dest.slice, scope.roles))
+
+    def _handle_call(self, node: ast.Call, scope: _Scope) -> None:
         fn = node.func
+        if (isinstance(fn, ast.Name) and fn.id in scope.pushers) or (
+            self._is_queue_append(fn, scope)
+        ):
+            self._handle_push(node, scope)
+            return
         # trace.emit(clock, "kind", node, ...) — any receiver (self.trace
         # or a local alias), same heuristic as protolint.
         if (
@@ -475,6 +566,7 @@ class _MethodWalker:
             return
         if not isinstance(fn, ast.Attribute):
             return
+        roles = scope.roles
         # self.<method>(...) — send primitive, helper recursion.
         if isinstance(fn.value, ast.Name) and fn.value.id == "self":
             name = fn.attr
@@ -503,7 +595,7 @@ class _MethodWalker:
                 callee_roles: Dict[str, str] = {}
                 for formal, actual in zip(formals, node.args):
                     callee_roles[formal] = self._role_of(actual, roles)
-                self.walk(name, callee_roles, stack)
+                self.walk(name, callee_roles, scope.stack)
                 return
             return
         # self.policy.<hook>(...): opaque read+write of the policy object.
@@ -522,11 +614,13 @@ class _MethodWalker:
         if fn.attr in _MUTATORS or fn.attr in _GHOST_MUTATORS:
             attr = _self_attr(fn.value)
             if attr is not None:
-                self._record_write(attr, node.lineno)
+                self._record_write(attr)
                 return
             base = _base_name(fn.value)
-            if base is not None and base in aliases:
-                self.out.writes.add(aliases[base])
+            if base is not None and base in scope.aliases:
+                self.out.writes.add(scope.aliases[base])
+            elif base is not None and base in scope.shared:
+                self._record_write(scope.shared[base])
             return
 
 
@@ -631,6 +725,27 @@ def extract_core_effects(mechanism_py: Path) -> Dict[str, EffectSet]:
 
 
 # -------------------------------------------------------------- flat extract
+#: The flat backend's scope, declared once.  Its kernel receives these
+#: kinds (revoke belongs to crash recovery, which runs on the reference
+#: backend only), emits no trace events and keeps no ghost log.  PL501,
+#: PL502 and PL504 compare the kernel with the spec and with core
+#: projected onto this scope (:func:`flat_scope`).
+FLAT_KINDS: FrozenSet[str] = frozenset({"probe", "response", "update", "release"})
+FLAT_DROPPED_FIELDS: FrozenSet[str] = frozenset({"ghost"})
+
+
+def flat_scope(eff: EffectSet) -> EffectSet:
+    """``eff`` projected onto the flat backend's scope: no emits, no
+    dropped fields."""
+    return EffectSet.make(
+        eff.send_map,
+        (),
+        eff.reads - FLAT_DROPPED_FIELDS,
+        eff.writes - FLAT_DROPPED_FIELDS,
+        eff.unknown,
+    )
+
+
 _FLAT_STATE_MAP: Dict[str, str] = {
     "_val": "val",
     "_taken": "taken",
@@ -650,13 +765,11 @@ _FLAT_STATE_MAP: Dict[str, str] = {
     "_pa": "policy",
     "_pb": "policy",
     "_mode": "policy",
-    "_ghost": "ghost",
 }
 
 _FLAT_READ_ONLY: Set[str] = {
     "tree",
     "op",
-    "trace",
     "stats",
     "_off",
     "_peer",
@@ -665,45 +778,200 @@ _FLAT_READ_ONLY: Set[str] = {
     "_sib",
     "_slot_index",
     "_queue",
-    "crashed",
     "_specs",
     "metrics",
 }
 
-_FLAT_SEND_PRIMITIVES: Dict[str, str] = {
-    "_send_probe": "probe",
-    "_send_response": "response",
-    "_send_update": "update",
-    "_send_release": "release",
-    "_send_revoke": "revoke",
-}
+#: The flat kernel method: one delivery loop split by kind dispatch.
+_FLAT_KERNEL = "_kernel"
+
+
+def _exits(stmts: List[ast.stmt]) -> bool:
+    return bool(stmts) and isinstance(
+        stmts[-1], (ast.Continue, ast.Break, ast.Return, ast.Raise)
+    )
+
+
+class _KernelReader:
+    """Attributes the statements of the flat kernel's delivery loop to the
+    message kinds that reach them.
+
+    The loop pops ``m`` and dispatches on ``type(m) is int`` (code 0, the
+    one kind interned as an int, see :func:`_decode_interned`) and on
+    ``k == <code>`` tests of the kind variable ``k = m[0]``; a branch
+    ending in ``continue`` hands the rest
+    of its block to the other kinds.  Statements outside any dispatch
+    count for every kind still possible there (an over-approximation, so
+    a dispatch the reader does not understand shows up as a finding).
+    Names bound to ``m >> 3`` or ``m[1]`` are the receiving slot: the
+    role ``src``.
+    """
+
+    def __init__(
+        self,
+        walker: _MethodWalker,
+        scope: _Scope,
+        msg: str,
+        codes: Dict[int, str],
+        out: Dict[str, _Effects],
+    ) -> None:
+        self.walker = walker
+        self.scope = scope
+        self.msg = msg
+        self.codes = codes
+        self.int_kinds = frozenset({codes[0]}) if 0 in codes else frozenset()
+        self.out = out
+        self.kind_vars: Set[str] = set()
+
+    def read(self, loop: ast.While) -> None:
+        for node in ast.walk(loop):
+            if (
+                isinstance(node, ast.Assign)
+                and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)
+            ):
+                field_of_m = self._msg_field(node.value)
+                if field_of_m == 0:
+                    self.kind_vars.add(node.targets[0].id)
+                elif field_of_m == 1:
+                    self.scope.roles[node.targets[0].id] = "src"
+        self.block(loop.body, frozenset(self.out))
+
+    def _msg_field(self, expr: ast.expr) -> Optional[int]:
+        """0 for the kind code of ``m``, 1 for its slot, else None."""
+        if isinstance(expr, ast.Subscript) and _base_name(expr) == self.msg:
+            index = expr.slice
+            if isinstance(index, ast.Constant) and index.value in (0, 1):
+                return int(index.value)
+        if (
+            isinstance(expr, ast.BinOp)
+            and isinstance(expr.op, ast.RShift)
+            and isinstance(expr.left, ast.Name)
+            and expr.left.id == self.msg
+        ):
+            return 1
+        return None
+
+    def _split(
+        self, test: ast.expr, kinds: FrozenSet[str]
+    ) -> Optional[FrozenSet[str]]:
+        """The kinds a dispatch test selects (None: not a dispatch)."""
+        if not (isinstance(test, ast.Compare) and len(test.ops) == 1):
+            return None
+        left, op, right = test.left, test.ops[0], test.comparators[0]
+        if (
+            isinstance(op, ast.Is)
+            and isinstance(left, ast.Call)
+            and isinstance(left.func, ast.Name)
+            and left.func.id == "type"
+            and len(left.args) == 1
+            and isinstance(left.args[0], ast.Name)
+            and left.args[0].id == self.msg
+            and isinstance(right, ast.Name)
+            and right.id == "int"
+        ):
+            return kinds & self.int_kinds
+        if (
+            isinstance(op, ast.Eq)
+            and isinstance(left, ast.Name)
+            and left.id in self.kind_vars
+            and isinstance(right, ast.Constant)
+            and right.value in self.codes
+        ):
+            return kinds & {self.codes[right.value]}
+        return None
+
+    def block(self, stmts: List[ast.stmt], kinds: FrozenSet[str]) -> None:
+        for stmt in stmts:
+            chosen = (
+                self._split(stmt.test, kinds) if isinstance(stmt, ast.If) else None
+            )
+            if not isinstance(stmt, ast.If) or chosen is None:
+                self.attribute(stmt, kinds)
+                continue
+            rest = kinds - chosen
+            self.block(stmt.body, chosen)
+            self.block(stmt.orelse, rest)
+            if _exits(stmt.body):
+                kinds = rest
+            elif _exits(stmt.orelse):
+                kinds = chosen
+
+    def attribute(self, stmt: ast.stmt, kinds: FrozenSet[str]) -> None:
+        effects = self.walker.collect([stmt], self.scope)
+        for kind in kinds:
+            self.out[kind].absorb(effects)
+
+
+def _wire_codes(module: ast.Module) -> Dict[int, str]:
+    """Module-level ``K_<KIND> = <int>`` wire codes -> kind."""
+    kinds = set(MESSAGE_KINDS.values())
+    codes: Dict[int, str] = {}
+    for node in module.body:
+        if (
+            isinstance(node, ast.Assign)
+            and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Name)
+            and node.targets[0].id.startswith("K_")
+            and isinstance(node.value, ast.Constant)
+            and isinstance(node.value.value, int)
+        ):
+            kind = node.targets[0].id[2:].lower()
+            if kind in kinds:
+                codes[node.value.value] = kind
+    return codes
 
 
 def extract_flat_effects(runtime_py: Path) -> Dict[str, EffectSet]:
-    """Effect set per received kind for the vectorized ``FlatRuntime``
-    (``_recv_<kind>`` twins), normalized onto the core field names."""
+    """Effect set per received kind for the ``FlatRuntime`` kernel, read
+    from its kind dispatch and normalized onto the core field names."""
     module = ast.parse(runtime_py.read_text(encoding="utf-8"))
     cls = _ClassMethods(module, "FlatRuntime")
+    codes = _wire_codes(module)
     config = _ImplConfig(
         state_map=_FLAT_STATE_MAP,
         read_only=_FLAT_READ_ONLY,
-        send_primitives=_FLAT_SEND_PRIMITIVES,
+        send_primitives={},
         policy_attr=None,
+        wire_codes=codes,
     )
-    out: Dict[str, EffectSet] = {}
-    for kind in sorted(MESSAGE_KINDS.values()):
-        method = f"_recv_{kind}"
-        effects = _Effects()
-        fn = cls.methods.get(method)
-        if fn is None:
-            effects.unknown.add(f"flat handler '{method}' not found")
-        else:
-            walker = _MethodWalker(cls, config, effects)
-            formals = [a.arg for a in fn.args.args if a.arg != "self"]
-            roles = {formals[0]: "src"} if formals else {}
-            walker.walk(method, roles, frozenset())
-        out[kind] = effects.freeze()
-    return out
+    out = {kind: _Effects() for kind in codes.values()}
+    kernel = cls.methods.get(_FLAT_KERNEL)
+    found = _delivery_loop(kernel) if kernel is not None else None
+    if kernel is None or found is None:
+        for effects in out.values():
+            effects.unknown.add(
+                f"flat kernel '{_FLAT_KERNEL}' with a delivery loop "
+                "'while ...: m = pop()' not found"
+            )
+        return {kind: e.freeze() for kind, e in out.items()}
+    at, loop, msg = found
+    walker = _MethodWalker(cls, config, _Effects())
+    scope = _Scope(
+        roles={},
+        stack=frozenset({_FLAT_KERNEL}),
+        locals_seen={a.arg for a in kernel.args.args},
+    )
+    # The prologue only binds aliases: ``taken = self._taken`` is no read.
+    walker.collect(kernel.body[:at], scope)
+    _KernelReader(walker, scope, msg, codes, out).read(loop)
+    return {kind: e.freeze() for kind, e in out.items()}
+
+
+def _delivery_loop(kernel: ast.FunctionDef) -> Optional[Tuple[int, ast.While, str]]:
+    """(statement index, loop, message variable) of the kernel's first
+    ``while`` loop, which must open with ``m = <pop>()``."""
+    for at, stmt in enumerate(kernel.body):
+        if isinstance(stmt, ast.While):
+            first = stmt.body[0]
+            if (
+                isinstance(first, ast.Assign)
+                and isinstance(first.targets[0], ast.Name)
+                and isinstance(first.value, ast.Call)
+            ):
+                return at, stmt, first.targets[0].id
+            return None
+    return None
 
 
 # ------------------------------------------------------------------ assembly
@@ -940,16 +1208,32 @@ def check_reaction(
                 )
             )
 
-    # PL501/PL502 against the spec, per implementation.
+    # PL501/PL502 against the spec, per implementation (flat: projected
+    # onto its declared scope).
     for kind, eff in sorted(spec.items()):
         if kind in core:
             _diff_effects(kind, "core", core[kind], eff, core_rel, 1, findings)
         if kind in flat:
-            _diff_effects(kind, "flat", flat[kind], eff, flat_rel, 1, findings)
+            _diff_effects(
+                kind, "flat", flat[kind], flat_scope(eff), flat_rel, 1, findings
+            )
 
-    # PL504: core <-> flat drift, independent of the spec.
+    # PL504: core <-> flat drift on the flat scope, independent of the spec.
+    if set(flat) != FLAT_KINDS:
+        findings.append(
+            Finding(
+                code="PL504",
+                path=flat_rel,
+                line=1,
+                message=(
+                    f"the flat kernel receives {sorted(flat)} but the flat "
+                    f"scope declares {sorted(FLAT_KINDS)}"
+                ),
+                hint="update the kernel's wire codes or FLAT_KINDS in verify/effects.py",
+            )
+        )
     for kind in sorted(set(core) & set(flat)):
-        c, f = core[kind], flat[kind]
+        c, f = flat_scope(core[kind]), flat[kind]
         deltas: List[str] = []
         if c.send_map != f.send_map:
             deltas.append(f"sends core={c.to_dict()['sends']} flat={f.to_dict()['sends']}")
@@ -970,8 +1254,9 @@ def check_reaction(
                         + "; ".join(deltas)
                     ),
                     hint=(
-                        "the flat backend must be effect-equivalent to the "
-                        "reference automaton (DESIGN.md decision 13)"
+                        "the flat kernel must be effect-equivalent to the "
+                        "reference automaton projected onto the flat scope "
+                        "(DESIGN.md decision 13)"
                     ),
                 )
             )

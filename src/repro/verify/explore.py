@@ -66,9 +66,8 @@ from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.consistency.causal import check_causal_consistency
 from repro.consistency.strict import check_strict_consistency
-from repro.core.backend import Backend, build_backend
 from repro.core.mechanism import LeaseNode
-from repro.core.runtime import PolicyFactory
+from repro.core.runtime import NodeRuntime, PolicyFactory
 from repro.core.policies import RWWPolicy
 from repro.ops.monoid import AggregationOperator
 from repro.ops.standard import SUM
@@ -227,7 +226,7 @@ def _noop_complete(request: Request) -> None:
 class _World:
     """One point of the schedule tree: a forked runtime plus script cursor."""
 
-    def __init__(self, runtime: Backend, script: List[OpSpec]) -> None:
+    def __init__(self, runtime: NodeRuntime, script: List[OpSpec]) -> None:
         self.runtime = runtime
         self.script = script
         self.pos = 0
@@ -329,13 +328,6 @@ class Explorer:
         a proof of the scope).
     max_violations:
         Stop collecting after this many violations.
-    backend:
-        Execution backend the worlds run on (``"reference"`` or
-        ``"flat"``).  Exploring the flat backend checks the *optimized*
-        engine against the same lemma/consistency oracles — its
-        ``state_snapshot``/``fork`` are part of the Backend protocol for
-        exactly this purpose.  Mutation testing (``node_cls``) stays
-        reference-only: the flat backend has no node class to subclass.
     independence:
         Where the POR independence relation comes from.  ``"derived"``
         (default) takes it from the static effect analysis
@@ -360,7 +352,6 @@ class Explorer:
         node_cls: type = LeaseNode,
         max_states: int = 500_000,
         max_violations: int = 10,
-        backend: str = "reference",
         independence: str = "derived",
     ) -> None:
         for spec in script:
@@ -378,7 +369,6 @@ class Explorer:
         self.node_cls = node_cls
         self.max_states = max_states
         self.max_violations = max_violations
-        self.backend = backend
         self.independence = independence
         if independence == "derived":
             from repro.verify.effects import derived_independence
@@ -475,15 +465,13 @@ class Explorer:
     # --------------------------------------------------------------------- run
     def run(self) -> ExploreResult:
         result = ExploreResult()
-        runtime = build_backend(
-            self.backend,
+        runtime = NodeRuntime(
             self.tree,
             op=self.op,
             policy_factory=self.policy_factory,
             transport=TransportConfig(),  # synchronous: the model being checked
             ghost=True,
             node_cls=self.node_cls,
-            require={"explore", "crash"},
         )
         root = _World(runtime, self.script)
         visited: Dict[Tuple[Any, ...], List[FrozenSet[Action]]] = {}

@@ -4,7 +4,8 @@ One entry per *received* message kind, declaring the complete static
 effect set a handler is allowed (and required) to have — the reaction
 graph of the Figure-1 automaton, written down once and enforced by the
 PL50x rules in :mod:`repro.verify.effects` against **both** the reference
-``LeaseNode`` handlers and the vectorized ``FlatRuntime`` twins.
+``LeaseNode`` handlers and the ``FlatRuntime`` kernel (for the kernel,
+projected onto flat's scope: no revoke, no trace emits, no ``ghost``).
 
 Reading guide (roles refer to the *destination* of a send relative to the
 neighbor the triggering message arrived from):

@@ -3,9 +3,11 @@ flat backend's integration with the layers around the engines.
 
 Complements ``test_flat_equivalence.py`` (which pins observational
 equivalence on golden workloads): here we test the *seam itself* —
-:func:`~repro.core.backend.build_backend` selection and refusal rules,
-the dynamic engine's silent fallback, checkpoint round-trips through the
-flat node views, and the model checker exploring the flat backend.
+:func:`~repro.core.backend.build_backend` selection and refusal rules
+(everything the flat kernel does not run — simulated transports, custom
+node classes, tracing, ghost logs, crashes, exploration, dynamic
+topology — is refused, or falls back to the reference backend) and the
+engines built on top of it.
 """
 
 from __future__ import annotations
@@ -14,19 +16,16 @@ import pytest
 
 from repro.core.backend import BACKENDS, Backend, BackendUnsupported, build_backend
 from repro.core.dynamic import DynamicAggregationSystem
-from repro.core.engine import AggregationSystem, ConcurrentAggregationSystem
+from repro.core.engine import ConcurrentAggregationSystem
 from repro.core.mechanism import LeaseNode
 from repro.core.policies import ABPolicy, RWWPolicy
 from repro.core.randomized import RandomBreakPolicy
 from repro.core.runtime import NodeRuntime
 from repro.flat.runtime import FlatRuntime
 from repro.ops.standard import SUM
-from repro.recovery.checkpoint import Checkpoint
 from repro.sim.transport import TransportConfig
-from repro.tree.generators import path_tree, star_tree
-from repro.verify.explore import Explorer, parse_script
-from repro.workloads.requests import combine, copy_sequence, write
-from repro.workloads.synthetic import uniform_workload
+from repro.tree.generators import path_tree
+from repro.workloads.requests import combine, write
 
 
 class TestFactory:
@@ -84,6 +83,32 @@ class TestFactory:
                 require={"dynamic"},
             )
 
+    #: Reference-only features: keyword -> the name the refusal must carry.
+    REFERENCE_ONLY = [
+        ({"trace_enabled": True}, "trace_enabled"),
+        ({"ghost": True}, "ghost"),
+        ({"require": {"explore"}}, "explore"),
+        ({"require": {"crash"}}, "crash"),
+    ]
+
+    @pytest.mark.parametrize(
+        "kwargs,feature", REFERENCE_ONLY, ids=[f for _, f in REFERENCE_ONLY]
+    )
+    def test_flat_refuses_reference_only_feature(self, kwargs, feature):
+        with pytest.raises(BackendUnsupported, match=feature):
+            build_backend(
+                "flat", path_tree(3), op=SUM, policy_factory=RWWPolicy, **kwargs
+            )
+        rt = build_backend(
+            "flat",
+            path_tree(3),
+            op=SUM,
+            policy_factory=RWWPolicy,
+            fallback=True,
+            **kwargs,
+        )
+        assert isinstance(rt, NodeRuntime)
+
     def test_fallback_builds_reference(self):
         rt = build_backend(
             "flat",
@@ -136,6 +161,15 @@ class TestEngineSelection:
         with pytest.raises(BackendUnsupported):
             rt.rename_node(2, 5)
 
+    def test_flat_state_snapshot_renders_quiescent_states_only(self):
+        rt = build_backend("flat", path_tree(3), op=SUM, policy_factory=RWWPolicy)
+        rt.submit_combine(combine(0), lambda _q: None)
+        with pytest.raises(RuntimeError, match="quiescent"):
+            rt.state_snapshot()
+        rt.drain()
+        nodes, pending = rt.state_snapshot()
+        assert pending == () and [n[0] for n in nodes] == [0, 1, 2]
+
     def test_multiattr_backend_passthrough(self):
         from repro.core.multiattr import MultiAttributeSystem
         from repro.ops.standard import MAX
@@ -151,81 +185,3 @@ class TestEngineSelection:
         assert report.values["load"] == 2.0
         assert report.values["peak"] == 5.0
         system.check_invariants()
-
-
-class TestCheckpointRoundTrip:
-    def test_checkpoint_through_flat_views(self):
-        """:class:`Checkpoint` captures/restores through the flat node
-        views exactly as through a ``LeaseNode`` — including the
-        ``sntupdates`` setter reconstructing per-slot streams."""
-        rt = build_backend("flat", star_tree(5), op=SUM, policy_factory=RWWPolicy)
-        for q in copy_sequence(uniform_workload(5, 40, read_ratio=0.5, seed=11)):
-            if q.op == "write":
-                rt.submit_write(q)
-            else:
-                rt.submit_combine(q, lambda _q: None)
-            rt.drain()
-        node = rt.nodes[0]
-        before = node.state_snapshot()
-        cp = Checkpoint.capture(node, seq=1, time=0.0)
-        assert cp.digest
-        # Clobber the volatile state the way a crash would...
-        victim = rt.fork()
-        vnode = victim.nodes[0]
-        for v in vnode.nbrs:
-            vnode.taken[v] = False
-            vnode.granted[v] = False
-            vnode.aval[v] = None
-            vnode.uaw[v] = set()
-        vnode.sntupdates = []
-        assert vnode.state_snapshot() != before
-        # ...then restore and compare canonical snapshots.
-        cp.restore(vnode)
-        assert vnode.state_snapshot() == before
-
-    def test_flat_checkpoint_digest_matches_reference(self):
-        """Same execution, both backends: checkpoints of every node carry
-        identical content digests (the flat views render the same state)."""
-        wl = uniform_workload(6, 50, read_ratio=0.4, seed=23)
-
-        def digests(backend):
-            system = AggregationSystem(path_tree(6), backend=backend)
-            system.run(copy_sequence(wl))
-            return {
-                i: Checkpoint.capture(n, seq=0, time=0.0).digest
-                for i, n in system.nodes.items()
-            }
-
-        assert digests("flat") == digests("reference")
-
-
-class TestExplorerFlatBackend:
-    """The model checker drives the flat backend through the Backend
-    protocol (``state_snapshot``/``fork``): identical state spaces and no
-    violations on small scopes, including crash/recover transitions."""
-
-    SCOPES = [
-        (path_tree(2), "w0=1,c1,w1=3,c0"),
-        (path_tree(3), "w0=2,c2,w2=4"),
-        (star_tree(4), "w1=1,c0,w3=2"),
-    ]
-
-    @pytest.mark.parametrize("idx", range(len(SCOPES)))
-    def test_flat_explore_matches_reference(self, idx):
-        tree, script = self.SCOPES[idx]
-        ref = Explorer(tree, parse_script(script)).run()
-        flat = Explorer(tree, parse_script(script), backend="flat").run()
-        assert ref.ok and flat.ok
-        assert (ref.states, ref.transitions, ref.terminals) == (
-            flat.states,
-            flat.transitions,
-            flat.terminals,
-        )
-
-    def test_flat_explore_with_crash_recover(self):
-        tree = path_tree(3)
-        script = parse_script("w0=1,k1,r1,w2=2,c0")
-        ref = Explorer(tree, script).run()
-        flat = Explorer(tree, script, backend="flat").run()
-        assert ref.ok and flat.ok
-        assert ref.states == flat.states and ref.transitions == flat.transitions

@@ -3,8 +3,8 @@
 Four layers, mirroring the protolint test strategy in test_verify.py:
 
 * extraction units — the reaction graph pulled out of the real sources has
-  the shape the paper's automaton prescribes (T3-T6), and the two
-  implementations (reference ``core`` and vectorized ``flat``) agree;
+  the shape the paper's automaton prescribes (T3-T6), and the flat kernel
+  agrees with the reference ``core`` handlers projected onto flat's scope;
 * the PL50x rules against seeded mutants — copies of the *real* sources
   with one protocol effect surgically removed or a deliberately stale
   spec, each proving its rule fires;
@@ -32,6 +32,7 @@ from repro.core.messages import Release, Update
 from repro.core.policies import AlwaysLeasePolicy
 from repro.tree.generators import path_tree, star_tree
 from repro.verify.effects import (
+    FLAT_KINDS,
     MESSAGE_KINDS,
     NODE_STATE_FIELDS,
     DerivedIndependence,
@@ -43,6 +44,7 @@ from repro.verify.effects import (
     extract_core_effects,
     extract_flat_effects,
     extract_reaction_graph,
+    flat_scope,
     reaction_graph_json,
 )
 from repro.verify.explore import Explorer, default_script, parse_script
@@ -61,12 +63,18 @@ class TestExtraction:
     def test_handlers_extracted_for_every_wire_kind(self):
         graph = extract_reaction_graph()
         assert set(graph.core) == set(MESSAGE_KINDS.values())
-        assert set(graph.flat) == set(MESSAGE_KINDS.values())
+        # Revoke belongs to crash recovery, which only the reference
+        # backend runs; the flat kernel dispatches the other four kinds.
+        assert set(graph.flat) == FLAT_KINDS
+        assert FLAT_KINDS == set(MESSAGE_KINDS.values()) - {"revoke"}
 
     def test_core_and_flat_reaction_graphs_agree(self):
+        # The kernel equals core projected onto flat's scope: same sends
+        # and state accesses, no trace emits, no ghost log.
         graph = extract_reaction_graph()
-        for kind in sorted(graph.core):
-            assert graph.core[kind] == graph.flat[kind], kind
+        for kind in sorted(FLAT_KINDS):
+            assert graph.flat[kind] == flat_scope(graph.core[kind]), kind
+            assert not graph.flat[kind].emits
 
     def test_probe_reaction_matches_t3_t4(self):
         # T3/T4 (Fig. 1): a Probe either grants (Response back to the
@@ -172,17 +180,53 @@ class TestReactionRules:
         )
 
     def test_dropped_send_in_flat_is_pl501_and_pl504(self, tmp_path):
-        # Same seeded bug on the vectorized twin: T5's terminal release.
+        # A seeded bug in the kernel's T5 branch: the relay forwards no
+        # update (both the degree-2 and the general push are gone; the
+        # operands are still computed, so only the sends disappear).
         root = _mutated_pkg(
             tmp_path,
-            runtime=[(
-                "self._send_release(t, frozenset(self._uaw[t]))",
-                "_ = frozenset(self._uaw[t])",
-            )],
+            runtime=[
+                (
+                    "push((2, rev[o], combine(val[u], aval[s]), nid))",
+                    "_ = (rev[o], combine(val[u], aval[s]), nid)",
+                ),
+                ("push((2, rev[t], x, nid))", "_ = (rev[t], x, nid)"),
+            ],
         )
         findings = check_reaction(package_root=root, project_root=tmp_path)
         assert any(
-            f.code == "PL501" and "flat" in f.message and "release" in f.message
+            f.code == "PL501"
+            and "flat handler for 'update' drops the declared send of 'update'"
+            in f.message
+            for f in findings
+        )
+        assert any(
+            f.code == "PL504" and "'update'" in f.message for f in findings
+        )
+
+    def test_flat_kind_outside_scope_is_pl504(self, tmp_path):
+        # A kernel that grows a wire code for revoke no longer matches the
+        # declared flat scope.
+        root = _mutated_pkg(
+            tmp_path, runtime=[("K_RELEASE = 3\n", "K_RELEASE = 3\nK_REVOKE = 4\n")]
+        )
+        findings = check_reaction(package_root=root, project_root=tmp_path)
+        assert any(
+            f.code == "PL504" and "the flat kernel receives" in f.message
+            and "'revoke'" in f.message
+            for f in findings
+        )
+
+    def test_unreadable_kernel_dispatch_is_flagged(self, tmp_path):
+        # Without its kind dispatch the kernel's branches all count for
+        # every kind: the reader over-approximates and the rules fire,
+        # instead of the check passing silently.
+        root = _mutated_pkg(
+            tmp_path, runtime=[("if type(m) is int:", "if m is not None:")]
+        )
+        findings = check_reaction(package_root=root, project_root=tmp_path)
+        assert any(
+            f.code == "PL502" and "flat handler for 'probe'" in f.message
             for f in findings
         )
         assert any(f.code == "PL504" for f in findings)
@@ -425,13 +469,11 @@ def _run_and_observe(system, ops):
 
 
 _GOLDEN_SCENARIOS = [
-    # (name, backend, policy_factory, ops)
-    ("rww-mixed", "reference", None,
+    # (name, policy_factory, ops)
+    ("rww-mixed", None,
      [write(1, 2.0), combine(0), write(2, 5.0), combine(2), combine(1)]),
-    ("always-lease", "reference", AlwaysLeasePolicy,
+    ("always-lease", AlwaysLeasePolicy,
      [combine(0), write(1, 1.0), combine(2), write(2, 3.0), combine(0)]),
-    ("flat-backend", "flat", None,
-     [write(1, 2.0), combine(0), write(2, 5.0), combine(2), combine(1)]),
 ]
 
 
@@ -441,12 +483,12 @@ class TestDynamicTwins:
     (observed ⊆ static — static may legitimately over-approximate)."""
 
     @pytest.mark.parametrize(
-        "name,backend,policy,ops",
+        "name,policy,ops",
         _GOLDEN_SCENARIOS,
         ids=[s[0] for s in _GOLDEN_SCENARIOS],
     )
-    def test_observed_effects_within_spec(self, name, backend, policy, ops):
-        kwargs = {"trace_enabled": True, "backend": backend}
+    def test_observed_effects_within_spec(self, name, policy, ops):
+        kwargs = {"trace_enabled": True}
         if policy is not None:
             kwargs["policy_factory"] = policy
         system = AggregationSystem(path_tree(3), **kwargs)
@@ -464,7 +506,7 @@ class TestDynamicTwins:
 
     def test_scenarios_exercise_the_probe_and_response_rows(self):
         system = AggregationSystem(path_tree(3), trace_enabled=True)
-        observed = _run_and_observe(system, _GOLDEN_SCENARIOS[0][3])
+        observed = _run_and_observe(system, _GOLDEN_SCENARIOS[0][2])
         assert {"probe", "response"} <= set(observed)
         assert "response" in observed["probe"]["sends"]
 
@@ -486,6 +528,15 @@ class TestEffectsCLI:
         data = json.loads(proc.stdout)
         assert data["ok"] is True
         assert data["independence"]["node_local"] is True
+        # The flat entries come from the kernel: core's minus emits and
+        # ghost, for the four kinds flat receives.
+        graph = data["graph"]
+        assert set(graph["flat"]) == FLAT_KINDS
+        for kind, flat in graph["flat"].items():
+            core = graph["core"][kind]
+            assert flat["emits"] == [] and flat["sends"] == core["sends"]
+            for key in ("reads", "writes"):
+                assert flat[key] == [f for f in core[key] if f != "ghost"]
 
     def test_verify_effects_human(self):
         proc = self._run("verify", "effects")

@@ -7,11 +7,14 @@ Its contract is *exact observational equivalence* with the reference
 rest of the repo) measures: message totals, per-edge per-kind counts,
 per-request costs, combine results, final lease graphs, and canonical
 ``state_snapshot()`` renderings.  These tests pin that contract on the
-same six scenarios the golden-trace suite uses, plus the fast-vs-slow
-drain cross-check and the write-batch coalescing extension.
+same six scenarios the golden-trace suite uses and on randomized
+mixed-degree trees with scoped combines, and check that profiling runs
+the same kernel and the write-batch coalescing extension.
 """
 
 from __future__ import annotations
+
+import random
 
 import pytest
 
@@ -27,9 +30,11 @@ from repro import (
     two_node_tree,
 )
 from repro.core.backend import build_backend
+from repro.obs.perf import PerfProfiler
 from repro.ops.standard import SUM
+from repro.tree.generators import random_tree
 from repro.workloads import adv_sequence, uniform_workload, write
-from repro.workloads.requests import COMBINE, copy_sequence
+from repro.workloads.requests import COMBINE, combine, copy_sequence, scoped_combine
 
 SCENARIOS = {
     "rww_pair_adv": dict(
@@ -100,45 +105,66 @@ def test_flat_matches_reference(name):
     assert run_scenario(spec, "flat") == run_scenario(spec, "reference")
 
 
-@pytest.mark.parametrize("name", ["rww_path6_mixed", "ab23_star8_mixed"])
-def test_fast_and_slow_drains_agree(name):
-    """The flat backend has two drain paths: the batched fast loop (bare
-    runs) and the event-faithful slow loop (tracing/ghost on).  They must
-    produce identical accounting and state."""
-    spec = SCENARIOS[name]
-    fast = run_scenario(spec, "flat")
-    slow = run_scenario(spec, "flat", trace_enabled=True)
-    for key in (
-        "total_messages",
-        "by_kind",
-        "edge_counts",
-        "per_request_costs",
-        "combine_retvals",
-        "final_lease_graph",
-    ):
-        assert fast[key] == slow[key], key
+POLICIES = {
+    "rww": RWWPolicy,
+    "ab23": lambda: ABPolicy(2, 3),
+    "always": AlwaysLeasePolicy,
+    "never": NeverLeasePolicy,
+}
 
 
-def test_flat_trace_stream_matches_reference():
-    """With tracing on, the flat backend emits the *same event stream* as
-    the reference (modulo request-object identity in details)."""
-    spec = SCENARIOS["rww_path6_mixed"]
+def mixed_degree_trees(count: int):
+    """(seed, tree): the first ``count`` random trees of 6-14 nodes with
+    both a degree-2 node and a node of degree >= 3, so both the kernel's
+    degree-2 and its general handlers run."""
+    seed = 0
+    while count:
+        tree = random_tree(6 + seed % 9, seed)
+        degrees = [len(tree.neighbors(u)) for u in range(tree.n)]
+        if 2 in degrees and max(degrees) >= 3:
+            yield seed, tree
+            count -= 1
+        seed += 1
 
-    def events(backend):
-        tree = spec["tree"]()
-        system = AggregationSystem(
-            tree, policy_factory=spec["policy"], backend=backend, trace_enabled=True
+
+def random_requests(tree, seed: int, length: int = 40) -> list:
+    """Writes, combines and scoped combines at random nodes."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(length):
+        u = rng.randrange(tree.n)
+        r = rng.random()
+        if r < 0.4:
+            out.append(write(u, float(rng.randrange(100))))
+        elif r < 0.75:
+            out.append(combine(u))
+        else:
+            out.append(scoped_combine(u, rng.choice(tree.neighbors(u))))
+    return out
+
+
+@pytest.mark.parametrize("policy", sorted(POLICIES))
+def test_flat_matches_reference_on_random_trees(policy):
+    """Differential: random mixed-degree trees and random workloads with
+    scoped combines, every observable of ``run_scenario`` identical."""
+    for seed, tree in mixed_degree_trees(25):
+        spec = dict(
+            tree=lambda t=tree: t,
+            workload=lambda n, t=tree, sd=seed: random_requests(t, sd),
+            policy=POLICIES[policy],
         )
-        for q in copy_sequence(spec["workload"](tree.n)):
-            system.execute(q)
-        return [
-            (e.time, e.kind, e.node, {k: v for k, v in e.detail.items() if k != "req"})
-            for e in system.trace.events()
-        ]
+        assert run_scenario(spec, "flat") == run_scenario(spec, "reference"), seed
 
-    ref, flat = events("reference"), events("flat")
-    assert len(ref) == len(flat)
-    assert ref == flat
+
+def test_profiling_measures_the_kernel():
+    """A profiler wraps the kernel in the ``flat.drain`` phase; it does
+    not change what runs or what it sends."""
+    spec = SCENARIOS["rww_path6_mixed"]
+    prof = PerfProfiler()
+    profiled = run_scenario(spec, "flat", profiler=prof)
+    assert profiled == run_scenario(spec, "flat")
+    assert prof.phase_count["flat.drain"] > 0
+    assert prof.counters["messages_routed"] == profiled["total_messages"]
 
 
 def test_write_batch_coalesces_updates():
@@ -151,8 +177,6 @@ def test_write_batch_coalesces_updates():
 
     def warmed(backend):
         rt = build_backend(backend, tree, op=SUM, policy_factory=AlwaysLeasePolicy)
-        from repro.workloads import combine
-
         done = []
         rt.submit_combine(combine(0), done.append)
         rt.drain()
@@ -174,28 +198,3 @@ def test_write_batch_coalesces_updates():
     assert one_by_one._gval(0) == batched._gval(0)
     one_by_one.check_quiescent_invariants()
     batched.check_quiescent_invariants()
-
-
-def test_flat_ghost_logs_match_reference():
-    """Ghost instrumentation (Section 5) rides the flat backend's slow
-    path and reproduces the reference logs exactly."""
-    spec = SCENARIOS["rww_binary15_readheavy"]
-
-    def ghosts(backend):
-        from repro.util.canon import canonical_value
-
-        tree = spec["tree"]()
-        system = AggregationSystem(
-            tree, policy_factory=spec["policy"], backend=backend, ghost=True
-        )
-        for q in copy_sequence(spec["workload"](tree.n)):
-            system.execute(q)
-        return {
-            i: (
-                tuple(canonical_value(e) for e in n.ghost.log),
-                tuple(canonical_value(e) for e in n.ghost.wlog),
-            )
-            for i, n in system.nodes.items()
-        }
-
-    assert ghosts("flat") == ghosts("reference")
