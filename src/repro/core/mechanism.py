@@ -493,7 +493,7 @@ class LeaseNode:
         self.snt.clear()
         return failed
 
-    def recover_reconcile(self, reestablish: bool = True) -> None:
+    def recover_reconcile(self) -> None:
         """Post-restart lease reconciliation.
 
         Whatever the restored checkpoint claims, the node cannot trust any
@@ -504,10 +504,9 @@ class LeaseNode:
         the peer thinks it holds from us (cascading per Lemma 3.2).  Cached
         ``aval`` views and ``uaw`` windows are stale and reset with them,
         and the per-neighbor policy bookkeeping restarts fresh via the
-        detach/attach hooks.  With ``reestablish`` a probe round for the
-        node itself then re-pulls fresh subtree values (and leases, per
-        policy) from every neighbor — completing silently, like a combine
-        with no waiters.
+        detach/attach hooks.  A probe round for the node itself then
+        re-pulls fresh subtree values (and leases, per policy) from every
+        neighbor — completing silently, like a combine with no waiters.
         """
         for v in self.nbrs:
             if self.taken[v]:
@@ -523,7 +522,7 @@ class LeaseNode:
             self.send(v, Release(S=frozenset()))
             self.send(v, Revoke())
         self.sntupdates = []
-        if reestablish and self.nbrs:
+        if self.nbrs:
             self._sendprobes(self.id)
             self.snt[self.id] = set(self.nbrs)
 

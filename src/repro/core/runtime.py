@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import copy
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Tuple, Type
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple, Type
 
 from repro.core.backend import RuntimeTelemetry
 from repro.core.mechanism import LeaseNode
@@ -54,12 +54,20 @@ from repro.sim.transport import Transport, TransportConfig, build_transport
 from repro.tree.topology import Tree
 from repro.workloads.requests import Request
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.recovery.manager import RecoveryManager
+
 #: Builds a fresh policy instance for one node.
 PolicyFactory = Callable[[], LeasePolicy]
 
 #: ``node`` value of engine-level trace events (``quiescent``) that do not
 #: belong to any single node.
 SYSTEM_NODE = -1
+
+
+def _sequential_time() -> float:
+    """The sequential model's clock: every event happens at time 0."""
+    return 0.0
 
 
 class Router:
@@ -209,8 +217,8 @@ class NodeRuntime(RuntimeTelemetry):
         #: Node timestamp source: an explicit live clock domain (external
         #: transports — wall/hybrid clocks) wins, else the virtual clock,
         #: else the sequential model's constant 0.0.
-        self._clock = clock if clock is not None else (
-            self._read_clock if self.sim is not None else None
+        self._clock: Callable[[], float] = clock if clock is not None else (
+            self._read_clock if self.sim is not None else _sequential_time
         )
         self.crashed: set = set()
         self._failure_listeners: List[Callable[[List[Request]], None]] = []
@@ -223,17 +231,43 @@ class NodeRuntime(RuntimeTelemetry):
         if hasattr(wire, "add_fault_listener"):
             wire.add_fault_listener(self._on_scheduled_fault)
         #: The attached RecoveryManager, when crash recovery is enabled.
-        self.recovery = None
+        self.recovery: Optional[RecoveryManager] = None
         if recovery is not None:
             from repro.recovery.manager import RecoveryManager
 
-            self.recovery = RecoveryManager(self, recovery)
+            self.recovery = RecoveryManager(
+                self.nodes,
+                recovery,
+                trace=self.trace,
+                metrics=self.metrics,
+                clock=self._clock,
+                is_down=self.is_down,
+                profiler=profiler,
+            )
+            if self.sim is not None:
+                self._schedule_recovery_ticks(self.recovery, self.sim)
 
     def _read_clock(self) -> float:
         # A bound method, not a closure: NodeRuntime.fork deep-copies
         # everything through one memo, and closures are atomic under
         # deepcopy (a cloned node would read the *original* sim's clock).
         return self.sim.now
+
+    def _schedule_recovery_ticks(self, rec: "RecoveryManager", sim: Simulator) -> None:
+        """Lay the recovery manager's checkpoint and TTL-sweep ticks onto
+        the simulator up to its horizon: a bounded timeline, never a
+        free-running timer, so the simulator still drains to quiescence."""
+        events = getattr(getattr(self.config, "plan", None), "events", ())
+        horizon = rec.horizon(max((ev.time for ev in events), default=None))
+        t = rec.config.checkpoint_interval
+        while t <= horizon:
+            sim.schedule_at(t, rec._checkpoint_tick, label="checkpoint tick")
+            t += rec.config.checkpoint_interval
+        if rec.expiry is not None:
+            t = rec.sweep_interval
+            while t <= horizon:
+                sim.schedule_at(t, rec._sweep_tick, label="lease-ttl sweep")
+                t += rec.sweep_interval
 
     # ------------------------------------------------------------------ nodes
     @property
@@ -260,9 +294,7 @@ class NodeRuntime(RuntimeTelemetry):
         clock under an external transport, 0.0 in the sequential model."""
         if self.sim is not None:
             return self.sim.now
-        if self._clock is not None:
-            return self._clock()
-        return 0.0
+        return self._clock()
 
     def drain(self) -> None:
         """Run the transport to quiescence.
@@ -353,21 +385,17 @@ class NodeRuntime(RuntimeTelemetry):
 
         The wire (FaultyNetwork) already black-holed the traffic and
         emitted the lifecycle trace event; here the node loses its volatile
-        state (crash) or reconciles (recover).  With a
-        :class:`~repro.recovery.manager.RecoveryManager` attached, it owns
-        the handling (checkpoint restore, metrics) around the same
-        primitives.
+        state (crash) or reconciles (recover).
         """
         if ev.kind == "crash":
-            if self.recovery is not None:
-                self.recovery.handle_crash(ev.node)
-            else:
-                self.crash(ev.node, emit_trace=False)
+            self.crash(ev.node, emit_trace=False)
         elif ev.kind == "recover":
-            if self.recovery is not None:
-                self.recovery.handle_recover(ev.node)
-            else:
-                self.recover(ev.node, emit_trace=False)
+            self.recover(ev.node, emit_trace=False)
+
+    def is_down(self, node_id: int) -> bool:
+        """Whether ``node_id`` is crashed (the recovery manager's down
+        check; a bound method so it follows :meth:`fork`)."""
+        return node_id in self.crashed
 
     def crash(self, node_id: int, *, emit_trace: bool = True) -> List[Request]:
         """Crash a node: black-hole its traffic and lose its volatile state.
@@ -384,6 +412,8 @@ class NodeRuntime(RuntimeTelemetry):
                 "this transport does not support crash faults (needs the "
                 "synchronous, faulty or reliable stack)"
             )
+        if self.recovery is not None:
+            self.recovery.handle_crash(node_id)
         self.crashed.add(node_id)
         if emit_trace:
             self.trace.emit(self.now, "node_crash", node_id)
@@ -394,14 +424,12 @@ class NodeRuntime(RuntimeTelemetry):
                 fn(failed)
         return failed
 
-    def recover(
-        self, node_id: int, *, emit_trace: bool = True, reestablish: bool = True
-    ) -> None:
+    def recover(self, node_id: int, *, emit_trace: bool = True) -> None:
         """Recover a crashed node: reopen the wire, reset the reliable
         layer's conversations on its edges, and run the node's lease
-        reconciliation round (see :meth:`LeaseNode.recover_reconcile`).
-        Checkpoint restoration, when enabled, happens *before* this via
-        the :class:`~repro.recovery.manager.RecoveryManager`."""
+        reconciliation round (see :meth:`LeaseNode.recover_reconcile`) —
+        through the :class:`~repro.recovery.manager.RecoveryManager`,
+        which restores the last checkpoint first, when one is attached."""
         if node_id not in self.crashed:
             return
         self.crashed.discard(node_id)
@@ -410,7 +438,10 @@ class NodeRuntime(RuntimeTelemetry):
         self.network.recover_node(node_id)
         if hasattr(self.network, "reset_edges_for"):
             self.network.reset_edges_for(node_id)
-        self.nodes[node_id].recover_reconcile(reestablish=reestablish)
+        if self.recovery is not None:
+            self.recovery.handle_recover(node_id)
+        else:
+            self.nodes[node_id].recover_reconcile()
 
     # ------------------------------------------------------------- topology
     def set_topology(self, tree: Tree) -> None:

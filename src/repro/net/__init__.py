@@ -9,10 +9,11 @@ framed TCP, surfaced as ``python -m repro serve``:
 * :mod:`repro.net.transport` — :class:`AsyncioTransport` implementing the
   shared transport interface over asyncio, registered with the transport
   seam as ``kind="asyncio"`` (``TransportConfig.external("asyncio")``);
-* :mod:`repro.net.clock` — hybrid logical clock + the wall-clock domain
-  twin of ``SimClock``;
+* :mod:`repro.net.clock` — the hybrid logical clock, the live twin of
+  the simulator's virtual time;
 * :mod:`repro.net.server` — :class:`NodeServer`, one process hosting a
-  slice of the tree with wall-clock lease TTLs and durable checkpoints;
+  slice of the tree and a ``RecoveryManager`` (lease TTLs, durable
+  checkpoints) over it;
 * :mod:`repro.net.cluster` — :class:`ClusterConfig` (declarative N-node
   deployment) and :class:`ClusterSupervisor` (spawn / monitor / kill /
   restart / drive requests);
@@ -27,7 +28,7 @@ also lazy-imports it on first use, so
 
 from __future__ import annotations
 
-from repro.net.clock import AsyncioTimer, HybridClock, WallClock
+from repro.net.clock import HybridClock
 from repro.net.cluster import ClusterConfig, ClusterSupervisor
 from repro.net.codec import (
     decode_message,
@@ -48,13 +49,11 @@ from repro.sim.transport import register_transport_kind
 register_transport_kind("asyncio", _build_from_config)
 
 __all__ = [
-    "AsyncioTimer",
     "AsyncioTransport",
     "ClusterConfig",
     "ClusterSupervisor",
     "HybridClock",
     "NodeServer",
-    "WallClock",
     "decode_message",
     "dumps_message",
     "encode_message",

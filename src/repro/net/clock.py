@@ -1,4 +1,4 @@
-"""Wall-clock and hybrid-logical clock domains for the live deployment.
+"""The hybrid logical clock: the live deployment's clock domain.
 
 The simulator gives every event one totally ordered virtual timestamp for
 free; a multi-process deployment has N drifting wall clocks instead.  The
@@ -15,18 +15,16 @@ stamped after its send even across processes with skewed wall clocks.
 Within one process the clock is strictly monotone, so the per-process JSONL
 stream sorts back into emission order.
 
-:class:`WallClock` is the asyncio counterpart of
-:class:`repro.sim.scheduler.SimClock` — the same ``now`` + ``timer()``
-clock-domain shape consumed by ``ReliableNetwork`` timeouts and
-``LeaseExpiry`` TTLs, backed by ``loop.call_later`` instead of the event
-heap.
+``HybridClock.tick`` is the live domain's whole clock: a serve process's
+nodes, transport and :class:`~repro.recovery.manager.RecoveryManager`
+stamp events and measure lease TTLs with it, where the simulator's
+use virtual time.
 """
 
 from __future__ import annotations
 
-import asyncio
 import time
-from typing import Callable, Optional
+from typing import Callable
 
 
 class HybridClock:
@@ -61,77 +59,4 @@ class HybridClock:
         return self._last
 
 
-class AsyncioTimer:
-    """A cancellable, restartable one-shot timer over an asyncio loop.
-
-    The same interface as :class:`repro.sim.scheduler.Timer` (``start`` /
-    ``cancel`` / ``active`` / ``deadline``), so code written against the
-    clock-domain abstraction runs unchanged in either domain.
-    """
-
-    def __init__(self, loop: Optional[asyncio.AbstractEventLoop] = None) -> None:
-        self._loop = loop
-        self._handle: Optional[asyncio.TimerHandle] = None
-        self._action: Optional[Callable[[], None]] = None
-        self._deadline: Optional[float] = None
-
-    def _get_loop(self) -> asyncio.AbstractEventLoop:
-        if self._loop is None:
-            self._loop = asyncio.get_event_loop()
-        return self._loop
-
-    @property
-    def active(self) -> bool:
-        return self._handle is not None
-
-    @property
-    def deadline(self) -> Optional[float]:
-        return self._deadline if self._handle is not None else None
-
-    def start(self, delay: float, action: Callable[[], None], label: str = "timer") -> None:
-        self.cancel()
-        self._action = action
-        self._deadline = time.time() + delay
-        self._handle = self._get_loop().call_later(delay, self._fire)
-
-    def _fire(self) -> None:
-        action = self._action
-        self._handle = None
-        self._action = None
-        if action is not None:
-            action()
-
-    def cancel(self) -> None:
-        if self._handle is not None:
-            self._handle.cancel()
-            self._handle = None
-        self._action = None
-
-
-class WallClock:
-    """The live clock domain: wall/HLC ``now`` plus asyncio timers.
-
-    When built over a :class:`HybridClock`, ``now`` reads the HLC's last
-    value without advancing it (reads must not create logical events);
-    timers still fire on real elapsed time.
-    """
-
-    def __init__(
-        self,
-        hlc: Optional[HybridClock] = None,
-        loop: Optional[asyncio.AbstractEventLoop] = None,
-    ) -> None:
-        self.hlc = hlc
-        self._loop = loop
-
-    @property
-    def now(self) -> float:
-        if self.hlc is not None:
-            return max(self.hlc.last, time.time())
-        return time.time()
-
-    def timer(self) -> AsyncioTimer:
-        return AsyncioTimer(self._loop)
-
-
-__all__ = ["HybridClock", "AsyncioTimer", "WallClock"]
+__all__ = ["HybridClock"]

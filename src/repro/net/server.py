@@ -14,15 +14,13 @@ Each server process owns:
   (``trace-<proc>.<incarnation>.jsonl``), flushed line-per-event so a
   SIGKILL loses at most one partial line (the merge tool tolerates torn
   tails);
-* **wall-clock lease TTL sweeps** mirroring
-  :class:`~repro.recovery.manager.RecoveryManager`: the existing
-  :class:`~repro.recovery.lease_ttl.LeaseExpiry` abstraction renewed by
-  trace traffic, expiring taken leases before granted ones (the same
-  holder-first grace), plus the stuck-round re-probe pacing;
-* **durable checkpoints** (:class:`~repro.recovery.checkpoint.Checkpoint`
-  pickled per node) captured every ``checkpoint_interval`` seconds; a
-  restarted incarnation restores them and runs
-  :meth:`LeaseNode.recover_reconcile` before serving;
+* a :class:`~repro.recovery.manager.RecoveryManager` over the hosted
+  nodes — the simulator's own — on the process's hybrid clock, with "the
+  peer's process is inside the dial cooldown" as its down check.  One
+  periodic loop ticks its lease-TTL sweep (expiry and stuck-round
+  re-probes) and its checkpoints, pickled per node as **durable
+  checkpoints**; a restarted incarnation loads them and rejoins each node
+  through :meth:`RecoveryManager.handle_recover` before serving;
 * per-process **metrics** (the standard
   :class:`~repro.obs.metrics.MetricsBridge` over the trace), dumped to
   ``metrics-<proc>.<incarnation>.json`` at shutdown.
@@ -44,6 +42,8 @@ from collections import deque
 from functools import partial
 from typing import (
     Any,
+    Awaitable,
+    Callable,
     Deque,
     Dict,
     FrozenSet,
@@ -55,10 +55,9 @@ from typing import (
 )
 
 from repro.core.mechanism import LeaseNode
-from repro.core.messages import Probe
 from repro.core.runtime import Router
 from repro.net.cluster import ClusterConfig, policy_factory_for
-from repro.net.clock import HybridClock, WallClock
+from repro.net.clock import HybridClock
 from repro.net.codec import decode_message
 from repro.net.transport import (
     AsyncioTransport,
@@ -69,8 +68,7 @@ from repro.net.transport import (
 from repro.obs.export import _dump_line
 from repro.obs.metrics import MetricsBridge, MetricsRegistry
 from repro.ops.standard import SUM
-from repro.recovery.checkpoint import Checkpoint, CheckpointStore
-from repro.recovery.lease_ttl import LeaseExpiry
+from repro.recovery.manager import RecoveryConfig, RecoveryManager
 from repro.sim.stats import MessageStats
 from repro.sim.trace import TraceLog
 from repro.sim.transport import TransportConfig, build_transport
@@ -120,7 +118,8 @@ class NodeServer:
     #: points, and each entry's discipline rules that out:
     #:
     #: ``nodes``        LeaseNode mutations are synchronous call chains
-    #:                  (`_serve_conn` delivery, `_sweep_task` expiry);
+    #:                  (`_serve_conn` delivery, `_sweep_body` ->
+    #:                  `RecoveryManager.sweep` expiry and re-probes);
     #:                  no handler ever awaits mid-mutation, so each
     #:                  automaton step is atomic on the loop.
     #: ``_out_queues``  append (any sender) vs popleft (only the peer's
@@ -143,7 +142,6 @@ class NodeServer:
         self.hosted: Set[int] = set(config.assignment[proc])
         self.tree = config.tree
         self.hlc = HybridClock()
-        self.wall = WallClock(self.hlc)
         self.stats = MessageStats()
         self.trace = TraceLog(enabled=True)
         self.metrics = MetricsRegistry()
@@ -156,18 +154,23 @@ class NodeServer:
         self.router = Router()
         self.nodes: Dict[int, LeaseNode] = {}
         self.transport: Optional[AsyncioTransport] = None
-        self.store = CheckpointStore()
-        self.expiry = LeaseExpiry(config.lease_ttl)
-        self.trace.subscribe(self._renew_on_traffic)
-        self._round_seen: Dict[Tuple[int, int], float] = {}
-        self._reprobed: Dict[Tuple[int, int], float] = {}
+        self.recovery = RecoveryManager(
+            self.nodes,
+            RecoveryConfig(
+                checkpoint_interval=config.checkpoint_interval,
+                lease_ttl=config.lease_ttl,
+            ),
+            trace=self.trace,
+            metrics=self.metrics,
+            clock=self.hlc.tick,
+            is_down=self._peer_down,
+        )
         self._out_queues: Dict[str, Deque[Dict[str, Any]]] = {}
         self._out_wake: Dict[str, asyncio.Event] = {}
         self._down_until: Dict[str, float] = {}
         self._stopping = asyncio.Event()
         self._server: Optional[asyncio.AbstractServer] = None
         self._tasks: List["asyncio.Future[Any]"] = []
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
 
     def _retain(self, task: "asyncio.Future[Any]") -> None:
         """Keep a strong reference to a background task (the event loop
@@ -177,7 +180,8 @@ class NodeServer:
 
     # ---------------------------------------------------------------- setup
     def _build_nodes(self) -> None:
-        assert self._loop is not None
+        """Build the transport, a writer queue per peer process and the
+        hosted nodes.  Runs on the event loop."""
         self.transport = build_transport(
             TransportConfig.external(
                 "asyncio",
@@ -186,7 +190,7 @@ class NodeServer:
                     "local_nodes": self.hosted,
                     "remote_send": self._remote_send,
                     "incarnation": self.incarnation,
-                    "loop": self._loop,
+                    "loop": asyncio.get_running_loop(),
                 },
             ),
             self.tree,
@@ -194,6 +198,10 @@ class NodeServer:
             stats=self.stats,
             trace=self.trace,
         )
+        for peer in self.config.procs:
+            if peer != self.proc:
+                self._out_queues[peer] = deque()
+                self._out_wake[peer] = asyncio.Event()
         policy_factory = policy_factory_for(self.config.policy)
         for nid in sorted(self.hosted):
             node = LeaseNode(
@@ -208,114 +216,64 @@ class NodeServer:
             self.nodes[nid] = node
             self.router.add(node)
 
+    # ------------------------------------------------------------- recovery
     async def _recover_from_checkpoints(self) -> None:
-        """A restarted incarnation restores durable checkpoints, then runs
-        the reconciliation round (Release(∅) + Revoke per neighbor, fresh
-        probes) — identical to the simulator's recovery path.  File reads
-        go through the executor; the node mutations stay on the loop
-        (``recover_reconcile`` sends through ``_remote_send``, which
-        touches loop-owned ``asyncio.Event``s)."""
+        """A restarted incarnation loads each hosted node's durable
+        checkpoint into the manager's store and rejoins the node through
+        :meth:`RecoveryManager.handle_recover` — restore, reconciliation
+        round (Release(∅) + Revoke per neighbor, fresh probes), lease-timer
+        renewal — the simulator's recovery path.  File reads go through
+        the executor; the node mutations stay on the loop (the reconcile
+        round sends through ``_remote_send``, which touches loop-owned
+        ``asyncio.Event``s)."""
         loop = asyncio.get_running_loop()
-        for nid, node in sorted(self.nodes.items()):
-            cp_path = self.run_dir / f"checkpoint-n{nid}.pkl"
+        for nid in sorted(self.nodes):
+            path = self._checkpoint_path(nid)
             try:
-                data = await loop.run_in_executor(None, cp_path.read_bytes)
-            except OSError:
-                data = None  # no checkpoint yet
-            if data is not None:
-                try:
-                    cp: Checkpoint = pickle.loads(data)
-                    cp.restore(node)
-                except Exception:
-                    pass  # torn checkpoint (killed mid-write): start fresh
-            node.recover_reconcile(reestablish=True)
-        now = self.wall.now
-        for nid in self.hosted:
-            for v in self.tree.neighbors(nid):
-                self.expiry.renew((nid, v), now)
-                self.expiry.renew((v, nid), now)
+                data = await loop.run_in_executor(None, path.read_bytes)
+                self.recovery.store.save(pickle.loads(data))
+            except Exception:
+                pass  # no checkpoint yet, or torn (killed mid-write): start fresh
+            self.recovery.handle_recover(nid)
 
-    # -------------------------------------------------------------- lease TTL
-    def _renew_on_traffic(self, ev: Any) -> None:
-        # Mirrors RecoveryManager._on_trace: traffic in either direction
-        # renews the edge's lease timers.
-        if ev.kind in ("recv", "deliver"):
-            src = ev.detail.get("src")
-            if src is not None and src >= 0:
-                self.expiry.renew((ev.node, src), ev.time)
-        elif ev.kind == "send":
-            dst = ev.detail.get("dst")
-            if dst is not None and dst >= 0:
-                self.expiry.renew((ev.node, dst), ev.time)
-        elif ev.kind == "lease_acquired":
-            self.expiry.renew((ev.node, ev.detail["source"]), ev.time)
-        elif ev.kind == "lease_granted":
-            self.expiry.renew((ev.node, ev.detail["grantee"]), ev.time)
+    def _peer_down(self, node: int) -> bool:
+        """The recovery manager's down check: ``node``'s process is inside
+        the writer's dial cooldown, so frames to it are dropped as losses."""
+        return time.monotonic() < self._down_until.get(self.config.proc_of(node), 0.0)
 
     def _sweep_body(self) -> None:
-        """Wall-clock twin of RecoveryManager._sweep_body for the hosted
-        nodes: expire silent peers' leases (holder before granter) and
-        re-probe stuck rounds, paced at one per TTL per edge."""
-        now = self.wall.now
-        ttl = self.config.lease_ttl
-        grace = ttl / 2
-        for nid in sorted(self.nodes):
-            node = self.nodes[nid]
-            for v in list(node.nbrs):
-                if node.taken.get(v, False) and not self.expiry.alive((nid, v), now):
-                    node.expire_taken(v)
-                    self.metrics.counter(
-                        "lease_expirations_total", node=nid, side="taken"
-                    ).inc()
-                if node.granted.get(v, False) and not self.expiry.alive(
-                    (nid, v), now - grace
-                ):
-                    node.expire_granted(v)
-                    self.metrics.counter(
-                        "lease_expirations_total", node=nid, side="granted"
-                    ).inc()
-            for root in sorted(node.pndg):
-                first = self._round_seen.setdefault((nid, root), now)
-                if now - first < ttl:
-                    continue
-                for w in sorted(node.snt.get(root, ())):
-                    last = self._reprobed.get((nid, w))
-                    if last is not None and now - last < ttl:
-                        continue
-                    self._reprobed[(nid, w)] = now
-                    self.trace.emit(self.hlc.tick(), "reprobe", nid, dst=w, root=root)
-                    node.send(w, Probe())
-        self._round_seen = {
-            key: t0
-            for key, t0 in self._round_seen.items()
-            if key[0] in self.nodes and key[1] in self.nodes[key[0]].pndg
-        }
+        # The periodic loop's one call into the manager, a method of its
+        # own so the benchmark tracer (benchmarks/suite/layers.py) can time
+        # the serve sweep by name.
+        self.recovery.sweep()
 
-    async def _sweep_task(self) -> None:
-        step = self.config.lease_ttl / 2
+    async def _periodic(
+        self, step: float, tick: Callable[[], Optional[Awaitable[None]]]
+    ) -> None:
+        """Call ``tick`` every ``step`` seconds until shutdown, awaiting
+        what it returns (checkpoints persist through the executor)."""
         while not self._stopping.is_set():
             try:
                 await asyncio.wait_for(self._stopping.wait(), timeout=step)
                 return
             except asyncio.TimeoutError:
                 pass
-            self._sweep_body()
+            pending = tick()
+            if pending is not None:
+                await pending
 
     # ------------------------------------------------------------ checkpoints
+    def _checkpoint_path(self, nid: int) -> pathlib.Path:
+        return self.run_dir / f"checkpoint-n{nid}.pkl"
+
     def _capture_checkpoints(self) -> List[Tuple[pathlib.Path, bytes]]:
         """Snapshot every hosted node *synchronously on the loop* (the
         capture must not interleave with message delivery) and return the
         serialized blobs for out-of-loop persistence."""
-        now = self.wall.now
-        blobs: List[Tuple[pathlib.Path, bytes]] = []
-        for nid, node in sorted(self.nodes.items()):
-            cp = Checkpoint.capture(node, self.store.next_seq(nid), now)
-            self.store.save(cp)
-            cp_path = self.run_dir / f"checkpoint-n{nid}.pkl"
-            blobs.append((cp_path, pickle.dumps(cp)))
-            self.trace.emit(self.hlc.tick(), "checkpoint", nid, seq=cp.seq)
-            self.metrics.counter("checkpoints_total", node=nid).inc()
-        return blobs
+        return [
+            (self._checkpoint_path(cp.node), pickle.dumps(cp))
+            for cp in self.recovery.checkpoint_now()
+        ]
 
     @staticmethod
     def _persist_blobs(blobs: List[Tuple[pathlib.Path, bytes]]) -> None:
@@ -332,16 +290,6 @@ class NodeServer:
         if blobs:
             loop = asyncio.get_running_loop()
             await loop.run_in_executor(None, self._persist_blobs, blobs)
-
-    async def _checkpoint_task(self) -> None:
-        step = self.config.checkpoint_interval
-        while not self._stopping.is_set():
-            try:
-                await asyncio.wait_for(self._stopping.wait(), timeout=step)
-                return
-            except asyncio.TimeoutError:
-                pass
-            await self._checkpoint_now()
 
     # ----------------------------------------------------------- remote egress
     def _remote_send(self, src: int, dst: int, message: Any, seq: int) -> None:
@@ -560,26 +508,28 @@ class NodeServer:
     # ----------------------------------------------------------------- main
     async def run(self) -> None:
         """Serve until a ``shutdown`` frame arrives."""
-        self._loop = asyncio.get_running_loop()
         self._build_nodes()
-        peers = sorted(p for p in self.config.procs if p != self.proc)
-        for peer in peers:
-            self._out_queues[peer] = deque()
-            self._out_wake[peer] = asyncio.Event()
         host, port = self.config.addr(self.proc)
         server = await asyncio.start_server(self._serve_conn, host, port)
         self._server = server
         writer_tasks = [
-            asyncio.ensure_future(self._writer_task(peer)) for peer in peers
+            asyncio.ensure_future(self._writer_task(peer))
+            for peer in sorted(self._out_queues)
         ]
         if self.incarnation > 0:
             await self._recover_from_checkpoints()
-        sweeper = asyncio.ensure_future(self._sweep_task())
-        checkpointer = asyncio.ensure_future(self._checkpoint_task())
+        ticks = [
+            asyncio.ensure_future(
+                self._periodic(self.recovery.sweep_interval, self._sweep_body)
+            ),
+            asyncio.ensure_future(
+                self._periodic(self.config.checkpoint_interval, self._checkpoint_now)
+            ),
+        ]
         await self._stopping.wait()
         # Final durable checkpoint, then tear down.
         await self._checkpoint_now()
-        await asyncio.gather(sweeper, checkpointer, return_exceptions=True)
+        await asyncio.gather(*ticks, return_exceptions=True)
         # Let outbound queues flush briefly before closing.
         for _ in range(50):
             if all(not q for q in self._out_queues.values()):

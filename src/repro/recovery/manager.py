@@ -1,44 +1,57 @@
-"""The :class:`RecoveryManager`: crash-recovery orchestration for a runtime.
+"""The :class:`RecoveryManager`: crash recovery for a set of nodes.
 
-Responsibilities (see DESIGN.md, "Fault model and crash recovery"):
+One implementation serves both clock domains (see DESIGN.md, "Fault model
+and crash recovery").  The manager reads no host internals; its host hands
+it the nodes, the trace and metrics sinks, the clock the nodes already use
+and a "peer known down" check:
 
-* **periodic checkpoints** — every ``checkpoint_interval`` of virtual time
-  each live node's volatile state is captured
-  (:class:`~repro.recovery.checkpoint.Checkpoint`) and a ``checkpoint``
-  trace event emitted;
-* **crash handling** — on a scheduled ``crash`` fault the node loses its
-  volatile state (open requests fail, rounds die) via
-  :meth:`NodeRuntime.crash`;
-* **recovery** — on ``recover`` the last checkpoint is restored *first*,
-  then :meth:`NodeRuntime.recover` reopens the wire, resets the reliable
-  layer's conversations, and runs the lease-reconciliation round;
+* in the simulator, :class:`~repro.core.runtime.NodeRuntime` builds it
+  over every node with the virtual clock and ``runtime.is_down`` (the
+  crashed set), lays its checkpoint and sweep ticks on a bounded timeline,
+  and calls :meth:`handle_crash` / :meth:`handle_recover` around its own
+  wire calls;
+* in a ``serve`` process, :class:`~repro.net.server.NodeServer` builds it
+  over the hosted nodes with ``HybridClock.tick`` and "the peer's process
+  is inside the dial cooldown", ticks it from one periodic loop, persists
+  what :meth:`checkpoint_now` returns, and restarts through
+  :meth:`handle_recover`.
+
+Responsibilities:
+
+* **checkpoints** — :meth:`checkpoint_now` captures each live node's
+  volatile state (:class:`~repro.recovery.checkpoint.Checkpoint`) and emits
+  a ``checkpoint`` trace event;
+* **crash/recover** — :meth:`handle_crash` notes the crash instant;
+  :meth:`handle_recover` restores the last checkpoint, runs the
+  lease-reconciliation round and renews the node's lease timers;
 * **lease TTLs** — with ``lease_ttl`` set, per-edge lease timers expire a
   silent peer's leases (:meth:`LeaseNode.expire_taken` /
   ``expire_granted``) so a dead holder never wedges a combine; timers are
-  renewed by any traffic received from the peer (PaxosLease-style: leases
-  must be refreshed to stay alive — this deliberately trades the paper's
-  message optimality for liveness under crashes);
+  renewed by any traffic on the edge (PaxosLease-style: leases must be
+  refreshed to stay alive — this deliberately trades the paper's message
+  optimality for liveness under crashes);
+* **stuck rounds** — the same sweep re-probes the live awaited peers of a
+  probe round that has stayed open a full TTL;
 * **metrics** — ``crashes_total``, ``recoveries_total``,
   ``checkpoints_total``, ``lost_messages_total``,
   ``lease_expirations_total`` counters and a ``time_to_recover``
   histogram.
-
-Periodic work is scheduled as a bounded timeline up to ``horizon`` (by
-default derived from the fault plan's last scheduled event), never as a
-free-running timer — the simulator must still drain to quiescence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.messages import Probe
 from repro.recovery.checkpoint import Checkpoint, CheckpointStore
 from repro.recovery.lease_ttl import LeaseExpiry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.runtime import NodeRuntime
+    from repro.core.mechanism import LeaseNode
+    from repro.obs.metrics import MetricsRegistry
+    from repro.obs.perf import PerfProfiler
+    from repro.sim.trace import TraceLog
 
 __all__ = ["RecoveryConfig", "RecoveryManager"]
 
@@ -53,138 +66,129 @@ class RecoveryConfig:
     Attributes
     ----------
     checkpoint_interval:
-        Virtual time between periodic checkpoints of every live node.
+        Time between periodic checkpoints of every live node.
     lease_ttl:
         When set, enable TTL lease expiry: a lease whose peer has been
         silent for ``lease_ttl`` time units expires locally (synthesized
-        revoke/release).  ``None`` disables the sweeps.
-    sweep_interval:
-        Virtual time between TTL sweeps (default: ``lease_ttl / 2``).
+        revoke/release), swept every half TTL.  ``None`` disables the
+        sweeps.
     horizon:
-        End of the periodic-work timeline.  Default: the fault plan's last
-        scheduled event plus one TTL (or one checkpoint interval), so the
-        simulator still drains to quiescence after the last fault.
-    expiry_grace:
-        Extra slack before the *granter* side expires (default:
-        ``lease_ttl / 2``).  Lease traffic is one-directional (grants and
-        updates flow granter -> holder), so with symmetric TTLs the granter
-        would time out first — the unsafe order, leaving the holder serving
-        a voided lease.  The grace makes the holder expire first; its
-        synthesized Release then clears the granter side through the
-        normal protocol whenever the edge is connected, and the granter's
-        own (grace-delayed) expiry is the fallback for a dead or
-        partitioned holder.
-    reestablish_probes:
-        Whether recovery ends with a probe round re-pulling fresh subtree
-        views (recommended; off only for protocol experiments).
+        End of the simulator's periodic-work timeline.  Default: the fault
+        plan's last scheduled event plus room for the last recovery to
+        finish (see :meth:`RecoveryManager.horizon`), so the simulator
+        still drains to quiescence after the last fault.
     """
 
     checkpoint_interval: float = 10.0
     lease_ttl: Optional[float] = None
-    sweep_interval: Optional[float] = None
     horizon: Optional[float] = None
-    expiry_grace: Optional[float] = None
-    reestablish_probes: bool = True
 
     def __post_init__(self) -> None:
         if self.checkpoint_interval <= 0:
             raise ValueError("checkpoint_interval must be positive")
         if self.lease_ttl is not None and self.lease_ttl <= 0:
             raise ValueError("lease_ttl must be positive when set")
-        if self.sweep_interval is not None and self.sweep_interval <= 0:
-            raise ValueError("sweep_interval must be positive when set")
-        if self.expiry_grace is not None and self.expiry_grace < 0:
-            raise ValueError("expiry_grace must be non-negative when set")
 
 
 class RecoveryManager:
-    """Wires checkpointing, crash/recover handling and lease TTLs into a
-    :class:`~repro.core.runtime.NodeRuntime`.
+    """Checkpointing, crash/recover handling, lease TTLs and stuck-round
+    re-probes over a host's nodes.
 
-    Built by the runtime itself when its ``recovery`` parameter is set (the
-    runtime's scheduled-fault listener then dispatches crash/recover events
-    here), or attachable manually for direct-API use (dynamic engines call
-    :meth:`handle_crash` / :meth:`handle_recover` / :meth:`checkpoint_now`
-    themselves).
+    Parameters
+    ----------
+    nodes:
+        node id -> ``LeaseNode``; the host's own map (it may grow, shrink
+        or re-key under the manager).
+    config:
+        The :class:`RecoveryConfig`.
+    trace / metrics / profiler:
+        The host's trace log (TTL renewal rides its subscription), metrics
+        registry and optional wall-clock profiler.
+    clock:
+        The clock the nodes use; read once per sweep or checkpoint batch
+        and once per emitted event.
+    is_down:
+        ``is_down(node_id)``: whether the node is known to be down.
+
+    Under :meth:`NodeRuntime.fork` the manager is deep-copied with its
+    runtime, so ``clock`` and ``is_down`` must be bound methods of the
+    runtime (a closure or ``set.__contains__`` would keep reading the
+    original).
     """
 
-    def __init__(self, runtime: "NodeRuntime", config: RecoveryConfig) -> None:
-        self.runtime = runtime
+    def __init__(
+        self,
+        nodes: Dict[int, "LeaseNode"],
+        config: RecoveryConfig,
+        *,
+        trace: "TraceLog",
+        metrics: "MetricsRegistry",
+        clock: Callable[[], float],
+        is_down: Callable[[int], bool],
+        profiler: Optional["PerfProfiler"] = None,
+    ) -> None:
+        self.nodes = nodes
         self.config = config
+        self.trace = trace
+        self.metrics = metrics
+        self.clock = clock
+        self.is_down = is_down
+        self.profiler = profiler
         self.store = CheckpointStore()
-        if config.lease_ttl is not None and not runtime.trace.enabled:
+        ttl = config.lease_ttl
+        if ttl is not None and not trace.enabled:
             # TTL renewal rides the trace subscription (recv/deliver events
             # refresh the peer's timers); without tracing every lease would
             # silently expire at the first sweep.
             raise ValueError("lease_ttl requires a runtime with trace_enabled")
-        self.expiry = (
-            LeaseExpiry(config.lease_ttl) if config.lease_ttl is not None else None
-        )
+        self.expiry = LeaseExpiry(ttl) if ttl is not None else None
+        # Half a TTL is both the sweep period and the granter side's extra
+        # grace.  Lease traffic is one-directional (grants and updates flow
+        # granter -> holder), so with symmetric TTLs the granter would time
+        # out first — the unsafe order, leaving the holder serving a voided
+        # lease.  The grace makes the holder expire first; its synthesized
+        # Release then clears the granter side through the normal protocol
+        # whenever the edge is connected, and the granter's own expiry is
+        # the fallback for a dead or partitioned holder.
+        self.sweep_interval = self.grace = ttl / 2 if ttl is not None else 0.0
         # Stuck-round detection state: when a sweep first observed each
         # open probe round (keyed ``(node, root)``), and the last liveness
         # re-probe per directed edge (paces re-probes at one per TTL).
         # Edge traffic is no proxy for round health — wire-level ACKs and
         # retransmits keep flowing on a wedged conversation — so the sweep
         # watches round *age* instead.
-        self._round_seen: Dict[Any, float] = {}
-        self._reprobed: Dict[Any, float] = {}
-        self.grace = (
-            config.expiry_grace
-            if config.expiry_grace is not None
-            else (config.lease_ttl / 2 if config.lease_ttl is not None else 0.0)
-        )
+        self._round_seen: Dict[Tuple[int, int], float] = {}
+        self._reprobed: Dict[Tuple[int, int], float] = {}
         #: Crash instants of currently-down nodes.
         self.crash_times: Dict[int, float] = {}
         #: Completed time-to-recover samples, in order.
         self.recovery_durations: List[float] = []
-        runtime.trace.subscribe(self._on_trace)
+        trace.subscribe(self._on_trace)
         if self.expiry is not None:
-            now = runtime.now
-            for u, v in runtime.tree.directed_edges():
-                self.expiry.renew((u, v), now)
-        if runtime.sim is not None:
-            self._schedule_timeline()
+            now = clock()
+            for nid, node in nodes.items():
+                for v in node.nbrs:
+                    self.expiry.renew((nid, v), now)
 
-    # ------------------------------------------------------------ scheduling
-    def _horizon(self) -> float:
+    def horizon(self, last_fault: Optional[float]) -> float:
+        """End of the simulator's tick timeline, given the last scheduled
+        fault's time (``None`` without faults)."""
         if self.config.horizon is not None:
             return self.config.horizon
-        plan = getattr(self.runtime.config, "plan", None)
-        events = getattr(plan, "events", ()) if plan is not None else ()
-        if not events:
+        if last_fault is None:
             return 0.0
-        slack = (
-            self.config.lease_ttl + self.grace
-            if self.config.lease_ttl is not None
-            else self.config.checkpoint_interval
-        )
-        # Extra sweep room past the last scheduled fault: one sweep period
-        # so the granter's grace-delayed expiry still gets a tick, plus a
-        # full TTL so a probe round wedged by the *last* fault ages into
-        # the stuck-round re-probe (detection needs first-seen + TTL).
-        if self.expiry is not None:
-            slack += self.config.lease_ttl
-            slack += self.config.sweep_interval or (self.config.lease_ttl / 2)
-        return max(ev.time for ev in events) + slack
-
-    def _schedule_timeline(self) -> None:
-        sim = self.runtime.sim
-        assert sim is not None
-        horizon = self._horizon()
-        t = self.config.checkpoint_interval
-        while t <= horizon:
-            sim.schedule_at(t, self._checkpoint_tick, label="checkpoint tick")
-            t += self.config.checkpoint_interval
-        if self.expiry is not None:
-            step = self.config.sweep_interval or (self.config.lease_ttl / 2)
-            t = step
-            while t <= horizon:
-                sim.schedule_at(t, self._sweep_tick, label="lease-ttl sweep")
-                t += step
+        ttl = self.config.lease_ttl
+        if ttl is None:
+            return last_fault + self.config.checkpoint_interval
+        # Past the last fault: a TTL plus the grace so the granter's expiry
+        # still gets a sweep, then a full TTL and one sweep period so a
+        # probe round wedged by that fault ages into the stuck-round
+        # re-probe (detection needs first-seen + TTL).
+        return last_fault + (ttl + self.grace + ttl + self.sweep_interval)
 
     # ----------------------------------------------------------- checkpoints
     def _checkpoint_tick(self) -> None:
-        prof = self.runtime.profiler
+        prof = self.profiler
         if prof is not None and prof.enabled:
             with prof.phase("recovery.checkpoint"):
                 self.checkpoint_now()
@@ -193,52 +197,43 @@ class RecoveryManager:
 
     def checkpoint_now(self, node_id: Optional[int] = None) -> List[Checkpoint]:
         """Checkpoint one live node (or all of them); returns the captures."""
-        now = self.runtime.now
-        targets = (
-            [node_id] if node_id is not None else sorted(self.runtime.nodes)
-        )
+        targets = [node_id] if node_id is not None else sorted(self.nodes)
         out: List[Checkpoint] = []
         for nid in targets:
-            if nid in self.runtime.crashed:
+            if self.is_down(nid):
                 continue
-            cp = Checkpoint.capture(
-                self.runtime.nodes[nid], self.store.next_seq(nid), now
-            )
+            now = self.clock()
+            cp = Checkpoint.capture(self.nodes[nid], self.store.next_seq(nid), now)
             self.store.save(cp)
-            self.runtime.trace.emit(now, "checkpoint", nid, seq=cp.seq)
-            self.runtime.metrics.counter("checkpoints_total", node=nid).inc()
+            self.trace.emit(now, "checkpoint", nid, seq=cp.seq)
+            self.metrics.counter("checkpoints_total", node=nid).inc()
             out.append(cp)
         return out
 
     # --------------------------------------------------------- crash/recover
     def handle_crash(self, node_id: int) -> None:
-        """Node-level crash consequences (wire is already black-holed)."""
-        if node_id in self.runtime.crashed:
-            return
-        self.crash_times[node_id] = self.runtime.now
-        self.runtime.metrics.counter("crashes_total", node=node_id).inc()
-        self.runtime.crash(node_id, emit_trace=False)
+        """Note a crash; the host black-holes the node's wire and drops its
+        volatile state."""
+        self.crash_times[node_id] = self.clock()
+        self.metrics.counter("crashes_total", node=node_id).inc()
 
     def handle_recover(self, node_id: int) -> None:
-        """Restore the last checkpoint, then reopen and reconcile."""
-        if node_id not in self.runtime.crashed:
-            return
-        node = self.runtime.nodes[node_id]
+        """Rejoin a restarted node: restore its last checkpoint in
+        :attr:`store`, run the reconciliation round
+        (:meth:`LeaseNode.recover_reconcile`) and renew its lease timers.
+        The host reopens the node's wire first."""
+        node = self.nodes[node_id]
         cp = self.store.latest(node_id)
         if cp is not None:
             cp.restore(node)
-        self.runtime.recover(
-            node_id,
-            emit_trace=False,
-            reestablish=self.config.reestablish_probes,
-        )
-        now = self.runtime.now
-        self.runtime.metrics.counter("recoveries_total", node=node_id).inc()
+        node.recover_reconcile()
+        now = self.clock()
+        self.metrics.counter("recoveries_total", node=node_id).inc()
         t0 = self.crash_times.pop(node_id, None)
         if t0 is not None:
             ttr = now - t0
             self.recovery_durations.append(ttr)
-            self.runtime.metrics.histogram(
+            self.metrics.histogram(
                 "time_to_recover", buckets=RECOVERY_BUCKETS
             ).observe(ttr)
         if self.expiry is not None:
@@ -248,38 +243,36 @@ class RecoveryManager:
 
     # ------------------------------------------------------------- lease TTL
     def _sweep_tick(self) -> None:
-        """Expire leases whose peer has been silent longer than the TTL."""
-        if self.expiry is None:
-            return
-        prof = self.runtime.profiler
+        prof = self.profiler
         if prof is not None and prof.enabled:
             with prof.phase("recovery.sweep"):
-                self._sweep_body()
+                self.sweep()
             return
-        self._sweep_body()
+        self.sweep()
 
-    def _sweep_body(self) -> None:
-        assert self.expiry is not None
-        now = self.runtime.now
-        for nid in sorted(self.runtime.nodes):
-            if nid in self.runtime.crashed:
+    def sweep(self) -> None:
+        """Expire leases whose peer has been silent longer than the TTL
+        (holder before granter) and re-probe stuck rounds."""
+        expiry = self.expiry
+        if expiry is None:
+            return
+        ttl = expiry.ttl
+        now = self.clock()
+        for nid in sorted(self.nodes):
+            if self.is_down(nid):
                 continue
-            node = self.runtime.nodes[nid]
+            node = self.nodes[nid]
             for v in list(node.nbrs):
-                if node.taken.get(v, False) and not self.expiry.alive(
-                    (nid, v), now
-                ):
+                if node.taken.get(v, False) and not expiry.alive((nid, v), now):
                     node.expire_taken(v)
-                    self.runtime.metrics.counter(
+                    self.metrics.counter(
                         "lease_expirations_total", node=nid, side="taken"
                     ).inc()
-                # Granter side waits out the grace so the holder always
-                # expires first (see RecoveryConfig.expiry_grace).
-                if node.granted.get(v, False) and not self.expiry.alive(
+                if node.granted.get(v, False) and not expiry.alive(
                     (nid, v), now - self.grace
                 ):
                     node.expire_granted(v)
-                    self.runtime.metrics.counter(
+                    self.metrics.counter(
                         "lease_expirations_total", node=nid, side="granted"
                     ).inc()
             # Liveness for stuck probe rounds: a round whose probe (or
@@ -293,29 +286,28 @@ class RecoveryManager:
             # open round on the first one).
             for root in sorted(node.pndg):
                 first = self._round_seen.setdefault((nid, root), now)
-                if now - first < self.config.lease_ttl:
+                if now - first < ttl:
                     continue
                 for w in sorted(node.snt.get(root, ())):
-                    if w in self.runtime.crashed:
+                    if self.is_down(w):
                         continue  # reconcile heals this edge on recovery
                     last = self._reprobed.get((nid, w))
-                    if last is not None and now - last < self.config.lease_ttl:
+                    if last is not None and now - last < ttl:
                         continue
                     self._reprobed[(nid, w)] = now
-                    self.runtime.trace.emit(now, "reprobe", nid, dst=w, root=root)
+                    self.trace.emit(self.clock(), "reprobe", nid, dst=w, root=root)
                     node.send(w, Probe())
         # Rounds that closed since the last sweep age out of the table.
         self._round_seen = {
             key: t0
             for key, t0 in self._round_seen.items()
-            if key[0] in self.runtime.nodes
-            and key[1] in self.runtime.nodes[key[0]].pndg
+            if key[0] in self.nodes and key[1] in self.nodes[key[0]].pndg
         }
 
     # -------------------------------------------------------------- telemetry
     def _on_trace(self, ev: Any) -> None:
         if ev.kind == "delivery_failed":
-            self.runtime.metrics.counter(
+            self.metrics.counter(
                 "lost_messages_total", msg=ev.detail.get("msg", "?")
             ).inc()
             return

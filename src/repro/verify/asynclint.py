@@ -103,6 +103,9 @@ _NODE_STATE_METHODS: FrozenSet[str] = frozenset(
         "recover_reconcile",
         "crash_volatile",
         "send",
+        # RecoveryManager entry points that run LeaseNode transitions
+        "sweep",
+        "handle_recover",
     }
 )
 

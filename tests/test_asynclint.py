@@ -15,6 +15,7 @@ import json
 import textwrap
 from pathlib import Path
 
+from repro.net.server import NodeServer
 from repro.verify.asynclint import ASYNC_SHARED_ATTR, run_async_lint
 from repro.verify.protolint import run_lint
 
@@ -317,6 +318,31 @@ class TestSharedState:
         )
         assert "PL604" in _codes(findings)
 
+    def test_recovery_sweep_counts_as_node_write(self, tmp_path):
+        # NodeServer's sweep is one call into its RecoveryManager, which
+        # expires leases and re-probes on the hosted LeaseNodes: two task
+        # roots making that call write ``nodes`` from both.
+        findings = _lint_source(
+            tmp_path,
+            """
+            import asyncio
+
+            class Server:
+                def _sweep_body(self):
+                    self.recovery.sweep()
+
+                async def _serve(self):
+                    self.recovery.sweep()
+
+                async def run(self):
+                    self.loop.call_soon(self._sweep_body)
+                    task = asyncio.ensure_future(self._serve())
+                    await task
+            """,
+        )
+        assert _codes(findings) == ["PL604"]
+        assert "Server.nodes" in findings[0].message
+
     def test_single_writer_design_is_clean(self, tmp_path):
         # The fixed form: one task owns the field; others enqueue.
         findings = _lint_source(
@@ -347,6 +373,11 @@ class TestRepoIsClean:
     def test_repro_net_has_no_async_findings(self):
         findings = run_async_lint(project_root=REPO)
         assert findings == [], [str(f) for f in findings]
+
+    def test_node_server_declares_nodes_shared(self):
+        # The sweep task and the connection handlers both run LeaseNode
+        # transitions; the license must stay declared, not be dropped.
+        assert "nodes" in NodeServer._ASYNC_SHARED
 
     def test_full_lint_includes_async_pass_and_stays_clean(self):
         findings = run_lint(project_root=REPO)

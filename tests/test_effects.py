@@ -339,7 +339,7 @@ _IgnoreReleaseNode._DISPATCH = {
 class _StaleLeaseRecoveryNode(LeaseNode):
     """Seeded bug: recovery trusts the pre-crash lease tables verbatim."""
 
-    def recover_reconcile(self, reestablish=True):
+    def recover_reconcile(self):
         pass
 
 

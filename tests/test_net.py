@@ -9,21 +9,23 @@ Four layers, tested bottom-up:
   engine-equivalent to the reference synchronous transport: same combine
   results, same message counts, over the transport seam
   (``TransportConfig.external("asyncio")``);
-* a real :class:`~repro.net.server.NodeServer` loopback over TCP, and the
-  full multi-process :class:`~repro.net.cluster.ClusterSupervisor` path —
-  including the chaos acceptance: SIGKILL two of seven processes mid-run,
-  restart them, and re-verify the merged traces offline;
+* a real :class:`~repro.net.server.NodeServer` loopback over TCP, the
+  server's hosted ``RecoveryManager`` (re-probes skip peers inside the
+  dial cooldown), and the full multi-process
+  :class:`~repro.net.cluster.ClusterSupervisor` path — including the chaos
+  acceptance: SIGKILL two of seven processes mid-run, restart them, and
+  re-verify the merged traces offline;
 * the clock-domain parameterization of
-  :class:`~repro.sim.reliability.ReliableNetwork` (the seam the live
-  deployment's wall-clock lease TTLs ride on): the retransmission backoff
-  schedule is a pure function of the clock domain, and the default is
-  byte-identical to an explicit ``SimClock``.
+  :class:`~repro.sim.reliability.ReliableNetwork`: the retransmission
+  backoff schedule is a pure function of the clock domain, and the default
+  is byte-identical to an explicit ``SimClock``.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import time
 
 import pytest
 
@@ -369,6 +371,37 @@ class TestLoopbackServe:
         spans = [ev for ev in events if ev.kind == "span"]
         assert {ev.detail["op"] for ev in spans} == {WRITE, COMBINE}
         assert (tmp_path / f"metrics-p0.0.json").exists()
+
+
+class TestServeRecovery:
+    async def test_reprobe_skips_peer_inside_dial_cooldown(self, tmp_path):
+        """The hosted manager's down check is the writer's dial cooldown: a
+        stuck round does not re-probe a peer whose process is down, and
+        does once the cooldown clears."""
+        ttl = 1.0
+        config = ClusterConfig.for_tree(path_tree(2), str(tmp_path), nodes_per_proc=1,
+                                        lease_ttl=ttl, checkpoint_interval=10.0)
+        server = NodeServer(config, "p0", incarnation=0)
+        server._build_nodes()
+        peer = config.proc_of(1)
+        try:
+            # Node 0's probe to node 1 is queued and never delivered.
+            server.nodes[0].begin_combine(combine(0), lambda done: None)
+            assert server.nodes[0].snt[0] == {1}
+            server._sweep_body()  # first sighting of the round
+            # A frame stamped two TTLs ahead: the round is now stuck.
+            server.hlc.observe(server.hlc.last + 2 * ttl)
+            server._down_until[peer] = time.monotonic() + 60.0
+            server._sweep_body()
+            assert server.trace.count("reprobe") == 0
+            queued = len(server._out_queues[peer])
+
+            del server._down_until[peer]  # the peer's hello clears it
+            server._sweep_body()
+            assert server.trace.count("reprobe") == 1
+            assert len(server._out_queues[peer]) == queued + 1
+        finally:
+            server.streamer.close()
 
 
 # ============================================================ process tree

@@ -18,6 +18,8 @@ import pytest
 
 from repro.core.engine import ScheduledRequest, reliable_concurrent_system
 from repro.core.messages import Probe
+from repro.core.policies import NeverLeasePolicy
+from repro.core.runtime import NodeRuntime
 from repro.recovery import Checkpoint, CheckpointStore, RecoveryConfig
 from repro.sim.channel import constant_latency
 from repro.sim.faults import FaultPlan, crash, heal, partition, recover
@@ -254,6 +256,29 @@ class TestForkOverReliableTransport:
         # Deterministic seeds deep-copy with the runtime: both branches
         # resolve the retransmission race identically.
         assert clone.state_snapshot() == runtime.state_snapshot()
+
+    def test_fork_rebinds_the_recovery_manager(self):
+        # The manager holds the runtime's clock and down check as bound
+        # methods, so a fork's manager reads the fork's virtual time and
+        # crashed set, never the original's.
+        system = _reliable(
+            path_tree(3), FaultPlan(),
+            recovery=RecoveryConfig(
+                checkpoint_interval=50.0, lease_ttl=100.0, horizon=300.0,
+            ),
+        )
+        runtime = system.runtime
+        clone = runtime.fork()
+        assert clone.recovery.nodes is clone.nodes
+        clone.drain()
+        assert clone.now > 0.0
+        assert clone.recovery.clock() == clone.now
+        assert runtime.recovery.clock() == runtime.now == 0.0
+        clone.crash(1)
+        assert clone.recovery.is_down(1)
+        assert not runtime.recovery.is_down(1)
+        assert [cp.node for cp in clone.recovery.checkpoint_now()] == [0, 2]
+        assert [cp.node for cp in runtime.recovery.checkpoint_now()] == [0, 1, 2]
 
 
 # ----------------------------------------------------- randomized regression

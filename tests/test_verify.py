@@ -295,7 +295,7 @@ class _StaleLeaseRecoveryNode(LeaseNode):
     """Seeded bug: recovery trusts the pre-crash lease tables verbatim —
     no voiding, no Release/Revoke to the peers, no re-probe."""
 
-    def recover_reconcile(self, reestablish=True):
+    def recover_reconcile(self):
         pass
 
 
