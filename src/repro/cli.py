@@ -787,7 +787,9 @@ def cmd_serve(args) -> int:
     from repro.workloads.requests import COMBINE, WRITE
 
     tree = make_tree(args.topology, args.nodes, args.seed)
-    run_dir = pathlib.Path(args.run_dir)
+    # Absolute: node processes run inside the run directory and read every
+    # path from cluster.json.
+    run_dir = pathlib.Path(args.run_dir).resolve()
     config = ClusterConfig.for_tree(
         tree,
         run_dir,

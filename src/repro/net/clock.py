@@ -17,8 +17,8 @@ stream sorts back into emission order.
 
 ``HybridClock.tick`` is the live domain's whole clock: a serve process's
 nodes, transport and :class:`~repro.recovery.manager.RecoveryManager`
-stamp events and measure lease TTLs with it, where the simulator's
-use virtual time.
+stamp events and measure lease TTLs with it, as they use virtual time in
+the simulator.
 """
 
 from __future__ import annotations

@@ -231,9 +231,13 @@ class NodeServer:
             path = self._checkpoint_path(nid)
             try:
                 data = await loop.run_in_executor(None, path.read_bytes)
-                self.recovery.store.save(pickle.loads(data))
-            except Exception:
-                pass  # no checkpoint yet, or torn (killed mid-write): start fresh
+            except OSError:
+                data = None  # no checkpoint yet
+            if data is not None:
+                try:
+                    self.recovery.store.save(pickle.loads(data))
+                except Exception:
+                    pass  # torn checkpoint (killed mid-write): start fresh
             self.recovery.handle_recover(nid)
 
     def _peer_down(self, node: int) -> bool:

@@ -28,7 +28,7 @@ from __future__ import annotations
 import copy
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.util.canon import canonical_value
 
@@ -63,8 +63,8 @@ class Checkpoint:
     taken: Dict[int, bool] = field(default_factory=dict)
     granted: Dict[int, bool] = field(default_factory=dict)
     aval: Dict[int, Any] = field(default_factory=dict)
-    uaw: Dict[int, set] = field(default_factory=dict)
-    sntupdates: list = field(default_factory=list)
+    uaw: Dict[int, Set[int]] = field(default_factory=dict)
+    sntupdates: List[Tuple[int, int, int]] = field(default_factory=list)
     policy_state: Dict[str, Any] = field(default_factory=dict)
     digest: str = ""
 

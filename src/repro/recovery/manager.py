@@ -41,7 +41,7 @@ Responsibilities:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.messages import Probe
 from repro.recovery.checkpoint import Checkpoint, CheckpointStore
@@ -105,8 +105,9 @@ class RecoveryManager:
         The host's trace log (TTL renewal rides its subscription), metrics
         registry and optional wall-clock profiler.
     clock:
-        The clock the nodes use; read once per sweep or checkpoint batch
-        and once per emitted event.
+        The clock the nodes use; read once per sweep and once per emitted
+        event (a ``serve`` process stamps every event with its own
+        ``HybridClock.tick``).
     is_down:
         ``is_down(node_id)``: whether the node is known to be down.
 
@@ -151,13 +152,16 @@ class RecoveryManager:
         # whenever the edge is connected, and the granter's own expiry is
         # the fallback for a dead or partitioned holder.
         self.sweep_interval = self.grace = ttl / 2 if ttl is not None else 0.0
-        # Stuck-round detection state: when a sweep first observed each
-        # open probe round (keyed ``(node, root)``), and the last liveness
-        # re-probe per directed edge (paces re-probes at one per TTL).
-        # Edge traffic is no proxy for round health — wire-level ACKs and
-        # retransmits keep flowing on a wedged conversation — so the sweep
-        # watches round *age* instead.
-        self._round_seen: Dict[Tuple[int, int], float] = {}
+        # Stuck-round detection state: for each open probe round (keyed
+        # ``(node, root)``) the ``snt[root]`` set a sweep first saw it with
+        # and when, and the last liveness re-probe per directed edge (paces
+        # re-probes at one per TTL).  Edge traffic is no proxy for round
+        # health — wire-level ACKs and retransmits keep flowing on a wedged
+        # conversation — so the sweep watches round *age* instead.  Every
+        # round installs a new ``snt`` set, so a round that closed and was
+        # replaced between two sweeps restarts the age rather than
+        # inheriting its predecessor's.
+        self._round_seen: Dict[Tuple[int, int], Tuple[Optional[Set[int]], float]] = {}
         self._reprobed: Dict[Tuple[int, int], float] = {}
         #: Crash instants of currently-down nodes.
         self.crash_times: Dict[int, float] = {}
@@ -195,11 +199,10 @@ class RecoveryManager:
             return
         self.checkpoint_now()
 
-    def checkpoint_now(self, node_id: Optional[int] = None) -> List[Checkpoint]:
-        """Checkpoint one live node (or all of them); returns the captures."""
-        targets = [node_id] if node_id is not None else sorted(self.nodes)
+    def checkpoint_now(self) -> List[Checkpoint]:
+        """Checkpoint every live node; returns the captures."""
         out: List[Checkpoint] = []
-        for nid in targets:
+        for nid in sorted(self.nodes):
             if self.is_down(nid):
                 continue
             now = self.clock()
@@ -285,10 +288,13 @@ class RecoveryManager:
             # responses are idempotent (T4 discards the peer from every
             # open round on the first one).
             for root in sorted(node.pndg):
-                first = self._round_seen.setdefault((nid, root), now)
-                if now - first < ttl:
+                awaited = node.snt.get(root)
+                seen = self._round_seen.get((nid, root))
+                if seen is None or seen[0] is not awaited:
+                    seen = self._round_seen[(nid, root)] = (awaited, now)
+                if now - seen[1] < ttl:
                     continue
-                for w in sorted(node.snt.get(root, ())):
+                for w in sorted(awaited or ()):
                     if self.is_down(w):
                         continue  # reconcile heals this edge on recovery
                     last = self._reprobed.get((nid, w))
@@ -299,8 +305,8 @@ class RecoveryManager:
                     node.send(w, Probe())
         # Rounds that closed since the last sweep age out of the table.
         self._round_seen = {
-            key: t0
-            for key, t0 in self._round_seen.items()
+            key: seen
+            for key, seen in self._round_seen.items()
             if key[0] in self.nodes and key[1] in self.nodes[key[0]].pndg
         }
 

@@ -219,9 +219,8 @@ class ReliableNetwork:
         self._receiver = receiver
         self.config = config
         #: The clock domain driving retransmission timeouts and trace
-        #: timestamps (``now`` + ``timer()`` — the same shape
-        #: ``LeaseExpiry`` consumers pass ``now`` values from).  Defaults
-        #: to :class:`~repro.sim.scheduler.SimClock` over ``sim``, which is
+        #: timestamps (``now`` + ``timer()``).  Defaults to
+        #: :class:`~repro.sim.scheduler.SimClock` over ``sim``, which is
         #: byte-identical to the historical hard-coded virtual-time path.
         self.clock = clock if clock is not None else SimClock(sim)
         self.stats = stats if stats is not None else MessageStats()

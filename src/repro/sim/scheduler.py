@@ -228,12 +228,10 @@ class SimClock:
     A *clock domain* is the pair of primitives time-dependent subsystems
     need — a monotone ``now`` and cancellable one-shot timers — abstracted
     away from where time comes from.  :class:`~repro.sim.reliability.ReliableNetwork`
-    retransmission timeouts and the recovery layer's
-    ``LeaseExpiry`` TTLs both consume this shape; under simulation it is
-    backed by a :class:`Simulator` (this class), and the live asyncio
-    deployment (:mod:`repro.net`) provides a wall-clock implementation with
-    the same interface.  Passing no clock anywhere preserves the historical
-    behavior exactly: ``SimClock(sim)`` is pure delegation.
+    retransmission timeouts consume this shape; under simulation it is
+    backed by a :class:`Simulator` (this class).  Passing no clock anywhere
+    preserves the historical behavior exactly: ``SimClock(sim)`` is pure
+    delegation.
     """
 
     __slots__ = ("sim",)

@@ -211,6 +211,31 @@ class TestStuckRoundReprobe:
         assert result.requests[-1].retval == pytest.approx(6.0)
         system.check_quiescent_invariants()
 
+    def test_new_round_for_the_same_root_restarts_the_age(self):
+        # Regression: a round that closed and was replaced by a new round
+        # for the same root between two sweeps inherited the old round's
+        # first-seen time, so the sweep re-probed a young round.  The
+        # duplicate probe's late Response could re-install a lease its
+        # holder had already released (Lemma 3.1 broken for good).
+        now = [0.0]
+        runtime = NodeRuntime(
+            path_tree(2), policy_factory=NeverLeasePolicy, trace_enabled=True,
+            clock=lambda: now[0], recovery=RecoveryConfig(lease_ttl=10.0),
+        )
+        node = runtime.nodes[0]
+        node.begin_combine(combine(0), lambda done: None)
+        runtime.recovery.sweep()  # t=0: the first round is seen
+        runtime.drain()           # ... and closes
+        assert not node.pndg
+        now[0] = 5.0
+        node.begin_combine(combine(0), lambda done: None)
+        now[0] = 10.0
+        runtime.recovery.sweep()  # a TTL after the first round's sighting
+        assert runtime.trace.count("reprobe") == 0
+        now[0] = 20.0
+        runtime.recovery.sweep()  # a TTL after the new round's sighting
+        assert runtime.trace.count("reprobe") == 1
+
 
 # --------------------------------------------------------------- fork parity
 class TestForkOverReliableTransport:
