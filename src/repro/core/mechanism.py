@@ -26,14 +26,31 @@ Per-node state (Figure 1's ``var`` block):
                    probe round
 ``snt[r]``         neighbors whose responses requestor ``r``'s round awaits
 ``upcntr``         update-id counter (``newid``)
-``sntupdates``     (node, rcvid, sntid) triples recording relayed updates
+``sntupdates``     the relayed updates, indexed by source neighbor:
+                   ``{v: (nids, rcvids)}`` with the ``sntid`` this node
+                   gave each relay from ``v`` and the ``rcvid`` it came
+                   with; :func:`relay_triples` renders Figure 1's
+                   ``(node, rcvid, sntid)`` triples
 =================  =========================================================
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import partial
-from typing import Any, Callable, ClassVar, Dict, List, Optional, Set, Tuple, Type
+from typing import (
+    Any,
+    Callable,
+    ClassVar,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Type,
+)
 
 from repro.core.ghost import GhostLog
 from repro.core.messages import Message, Probe, Release, Response, Revoke, Update
@@ -48,6 +65,28 @@ from repro.workloads.requests import Request
 SendFn = Callable[[int, Message], None]
 #: Combine-completion callback: receives the completed Request.
 CompleteFn = Callable[[Request], None]
+
+
+def relay_triples(
+    ledger: Mapping[int, Tuple[Sequence[int], Sequence[int]]],
+) -> Tuple[Tuple[int, int, int], ...]:
+    """Figure 1's ``sntupdates``: the ``(node, rcvid, sntid)`` triples of
+    a relay ledger ``{source: (sntids, rcvids)}``, merged in ``sntid``
+    order.
+
+    ``sntid`` is the relaying node's own strictly increasing counter, so
+    the merge reproduces the order in which the relays happened.
+    """
+    return tuple(
+        sorted(
+            (
+                (v, rcvid, nid)
+                for v, (nids, rcvids) in ledger.items()
+                for nid, rcvid in zip(nids, rcvids)
+            ),
+            key=lambda t: t[2],
+        )
+    )
 
 
 class LeaseNode:
@@ -104,7 +143,8 @@ class LeaseNode:
         self.pndg: Set[int] = set()
         self.snt: Dict[int, Set[int]] = {}
         self.upcntr = 0
-        self.sntupdates: List[Tuple[int, int, int]] = []
+        # A source's entry is created on its first relay.
+        self.sntupdates: Dict[int, Tuple[List[int], List[int]]] = {}
 
         # Precomputed per-neighbor send callables: one bound partial per
         # directed edge instead of a closure frame on every send.
@@ -334,7 +374,11 @@ class LeaseNode:
         self.uaw[w].add(msg.id)
         if [v for v in self.grntd() if v != w]:
             nid = self.newid()
-            self.sntupdates.append((w, msg.id, nid))
+            if w not in self.sntupdates:
+                self.sntupdates[w] = ([], [])
+            nids, rcvids = self.sntupdates[w]
+            nids.append(nid)
+            rcvids.append(msg.id)
             self._forwardupdates(w, nid)
         else:
             self._forwardrelease()
@@ -393,20 +437,26 @@ class LeaseNode:
         is empty — the lease from ``v`` carries no recent write pressure and
         ``uaw[v]`` resets to ∅ (DESIGN.md decision 3; preserves invariant
         I4).
+
+        The window — relays from ``v`` with ``sntid >= min(S)`` — is a
+        suffix of ``v``'s sntid-sorted ledger, found by bisection; β is
+        the least ``rcvid`` in that suffix, not its first, since ``rcvids``
+        arrive in order only over a FIFO edge.
         """
         min_id = min(S) if S else None
         for v in self.tkn():
             if v == w:
                 continue
-            if min_id is None:
-                window: List[Tuple[int, int, int]] = []
-            else:
-                window = [t for t in self.sntupdates if t[0] == v and t[2] >= min_id]
-            if window:
-                beta_rcvid = min(t[1] for t in window)
-                self.uaw[v] = {i for i in self.uaw[v] if i >= beta_rcvid}
-            else:
+            beta = None
+            if min_id is not None and v in self.sntupdates:
+                nids, rcvids = self.sntupdates[v]
+                i = bisect_left(nids, min_id)
+                if i < len(nids):
+                    beta = min(rcvids[i:])
+            if beta is None:
                 self.uaw[v] = set()
+            else:
+                self.uaw[v] = {x for x in self.uaw[v] if x >= beta}
             if self.isgoodforrelease(v):
                 self.policy.release_policy(self, v)
         self._forwardrelease()
@@ -521,7 +571,7 @@ class LeaseNode:
             self.policy.neighbor_attached(self, v)
             self.send(v, Release(S=frozenset()))
             self.send(v, Revoke())
-        self.sntupdates = []
+        self.sntupdates = {}
         if self.nbrs:
             self._sendprobes(self.id)
             self.snt[self.id] = set(self.nbrs)
@@ -571,7 +621,7 @@ class LeaseNode:
         pass the pre-compaction tree, so ``v`` is filtered explicitly)."""
         self.tree = tree
         self.nbrs = [u for u in tree.neighbors(self.id) if u != v]
-        for table in (self.taken, self.granted, self.aval, self.uaw):
+        for table in (self.taken, self.granted, self.aval, self.uaw, self.sntupdates):
             table.pop(v, None)
         self.snt.pop(v, None)
         self.pndg.discard(v)
@@ -592,7 +642,6 @@ class LeaseNode:
                     self._finish_combine(waiters)
                 else:
                     self._sendresponse(root)
-        self.sntupdates = [t for t in self.sntupdates if t[0] != v]
         self._send_to.pop(v, None)
         self.policy.neighbor_detached(self, v)
 
@@ -603,7 +652,7 @@ class LeaseNode:
         re-keyed; the protocol state itself is untouched."""
         if old not in self._send_to:
             return
-        for table in (self.taken, self.granted, self.aval, self.uaw):
+        for table in (self.taken, self.granted, self.aval, self.uaw, self.sntupdates):
             if old in table:
                 table[new] = table.pop(old)
         if old in self.snt:
@@ -616,9 +665,6 @@ class LeaseNode:
         if old in self.pndg:
             self.pndg.discard(old)
             self.pndg.add(new)
-        self.sntupdates = [
-            ((new if t[0] == old else t[0]), t[1], t[2]) for t in self.sntupdates
-        ]
         del self._send_to[old]
         self._send_to[new] = partial(self._send, new)
         # Policy per-neighbor tables (lt/cc dicts where present).
@@ -660,7 +706,7 @@ class LeaseNode:
             tuple(sorted(self.pndg)),
             tuple(sorted((r, tuple(sorted(t))) for r, t in self.snt.items())),
             self.upcntr,
-            tuple(self.sntupdates),
+            relay_triples(self.sntupdates),
             self.completed_requests,
             tuple(canonical_value(q) for q, _ in self._waiters),
             tuple(

@@ -988,27 +988,6 @@ class FlatRuntime(RuntimeTelemetry):
             self._forwardupdates(u)
         self.drain()
 
-    def _sntupdates_list(self, u: int) -> List[Tuple[int, int, int]]:
-        """Node ``u``'s ``sntupdates`` ledger, reconstructed from the
-        per-slot window index.
-
-        The reference backend's list is append-ordered; every append
-        carries a fresh strictly-increasing ``nid``, so merging the
-        per-slot (nid, uid) streams by ``nid`` reproduces the original
-        order exactly — the hot relay path never materializes tuples.
-        """
-        entries: List[Tuple[int, Tuple[int, int, int]]] = []
-        peer = self._peer
-        for t in range(self._off[u], self._off[u + 1]):
-            v = peer[t]
-            uids = self._win_uid[t]
-            entries.extend(
-                (nid, (v, uids[i], nid))
-                for i, nid in enumerate(self._win_nid[t])
-            )
-        entries.sort()
-        return [e[1] for e in entries]
-
     # ------------------------------------------------------------- topology
     def set_topology(self, *args: Any, **kwargs: Any) -> None:
         raise BackendUnsupported(

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterator, List, Mapping, Set, Tuple
 
+from repro.core.mechanism import relay_triples
 from repro.util.canon import canonical_value
 
 __all__ = ["FlatNode", "_FlatPolicyView", "_SlotMap"]
@@ -131,10 +132,6 @@ class FlatNode:
         return self._rt._upcntr[self.id]
 
     @property
-    def sntupdates(self) -> List[Tuple[int, int, int]]:
-        return self._rt._sntupdates_list(self.id)
-
-    @property
     def completed_requests(self) -> int:
         return self._rt._completed[self.id]
 
@@ -188,7 +185,12 @@ class FlatNode:
             tuple(sorted(self.pndg)),
             tuple(sorted((r, tuple(sorted(t))) for r, t in self.snt.items())),
             self.upcntr,
-            tuple(rt._sntupdates_list(u)),
+            relay_triples(
+                {
+                    rt._peer[t]: (rt._win_nid[t], rt._win_uid[t])
+                    for t in range(rt._off[u], rt._off[u + 1])
+                }
+            ),
             self.completed_requests,
             tuple(canonical_value(q) for q, _ in rt._waiters[u]),
             tuple(

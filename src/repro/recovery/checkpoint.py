@@ -17,10 +17,11 @@ two durability classes:
   lease tables serves stale reads — exactly the seeded mutant the model
   checker catches (see ``verify explore``).
 
-Each checkpoint carries a deterministic :attr:`Checkpoint.digest` over its
+Each checkpoint has a deterministic :attr:`Checkpoint.digest` over its
 canonical form (:func:`repro.util.canon.canonical_value`), so equality of
 checkpoint content is testable without comparing mutable containers, and
-the serialized form is stable across runs.
+the serialized form is stable across runs.  The digest is computed when
+read, not at capture: checkpoints are taken far more often than compared.
 """
 
 from __future__ import annotations
@@ -35,8 +36,17 @@ from repro.util.canon import canonical_value
 __all__ = ["Checkpoint", "CheckpointStore"]
 
 
-def _digest(payload: Any) -> str:
-    return hashlib.sha256(repr(canonical_value(payload)).encode()).hexdigest()[:16]
+def _copy_ledger(
+    ledger: Dict[int, Tuple[List[int], List[int]]],
+    keep: Optional[Set[int]] = None,
+) -> Dict[int, Tuple[List[int], List[int]]]:
+    """A relay ledger with its own per-source lists (the node appends to
+    its lists in place), restricted to the sources in ``keep``."""
+    return {
+        v: (list(nids), list(rcvids))
+        for v, (nids, rcvids) in ledger.items()
+        if keep is None or v in keep
+    }
 
 
 @dataclass
@@ -52,9 +62,9 @@ class Checkpoint:
     time:
         Virtual time of the capture.
     taken / granted / aval / uaw / sntupdates / policy_state:
-        Deep copies of the volatile protocol state (see module doc).
-    digest:
-        Canonical content digest (filled by :meth:`capture`).
+        Deep copies of the volatile protocol state (see module doc);
+        ``sntupdates`` is the node's relay ledger, ``{source neighbor:
+        (sntids, rcvids)}``, with its own copy of every list.
     """
 
     node: int
@@ -64,14 +74,13 @@ class Checkpoint:
     granted: Dict[int, bool] = field(default_factory=dict)
     aval: Dict[int, Any] = field(default_factory=dict)
     uaw: Dict[int, Set[int]] = field(default_factory=dict)
-    sntupdates: List[Tuple[int, int, int]] = field(default_factory=list)
+    sntupdates: Dict[int, Tuple[List[int], List[int]]] = field(default_factory=dict)
     policy_state: Dict[str, Any] = field(default_factory=dict)
-    digest: str = ""
 
     @classmethod
     def capture(cls, node: Any, seq: int, time: float) -> "Checkpoint":
         """Snapshot the volatile state of ``node`` (a ``LeaseNode``)."""
-        cp = cls(
+        return cls(
             node=node.id,
             seq=seq,
             time=time,
@@ -79,15 +88,24 @@ class Checkpoint:
             granted=dict(node.granted),
             aval=copy.deepcopy(node.aval),
             uaw={v: set(s) for v, s in node.uaw.items()},
-            sntupdates=list(node.sntupdates),
+            sntupdates=_copy_ledger(node.sntupdates),
             policy_state=copy.deepcopy(
                 {k: v for k, v in vars(node.policy).items() if not k.startswith("_")}
             ),
         )
-        cp.digest = _digest(
-            (cp.taken, cp.granted, cp.aval, cp.uaw, cp.sntupdates, cp.policy_state)
+
+    @property
+    def digest(self) -> str:
+        """Canonical content digest of the captured volatile state."""
+        payload = (
+            self.taken,
+            self.granted,
+            self.aval,
+            self.uaw,
+            self.sntupdates,
+            self.policy_state,
         )
-        return cp
+        return hashlib.sha256(repr(canonical_value(payload)).encode()).hexdigest()[:16]
 
     def restore(self, node: Any) -> None:
         """Write the checkpointed volatile state back into ``node``.
@@ -104,7 +122,7 @@ class Checkpoint:
             {v: copy.deepcopy(x) for v, x in self.aval.items() if v in current}
         )
         node.uaw.update({v: set(s) for v, s in self.uaw.items() if v in current})
-        node.sntupdates = [t for t in self.sntupdates if t[0] in current]
+        node.sntupdates = _copy_ledger(self.sntupdates, current)
         for k, v in copy.deepcopy(self.policy_state).items():
             setattr(node.policy, k, v)
 

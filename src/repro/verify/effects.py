@@ -50,7 +50,8 @@ runs on deliberately broken fixtures (the seeded-mutant tests) exactly like
 unioned over all branches — an over-approximation) but call-graph
 sensitive (helper procedures like ``sendresponse`` are traversed with the
 caller's neighbor-role bindings) and alias-sensitive (``targets =
-self.snt.get(v)`` followed by ``targets.discard(w)`` is a ``snt`` write).
+self.snt.get(v)`` followed by ``targets.discard(w)`` is a ``snt`` write,
+and so is ``nids.append(i)`` after ``nids, rcvids = self.sntupdates[w]``).
 """
 
 from __future__ import annotations
@@ -460,7 +461,14 @@ class _MethodWalker:
                 self._handle_assign_targets([t], v, scope)
             return
         for target in targets:
-            if isinstance(target, ast.Name):
+            if isinstance(target, (ast.Tuple, ast.List)):
+                # ``a, b = self.X[k]``: each name unpacks part of X's value,
+                # so each aliases X exactly as ``a = self.X[k]`` would.
+                elts = [
+                    e.value if isinstance(e, ast.Starred) else e for e in target.elts
+                ]
+                self._handle_assign_targets(elts, value, scope)
+            elif isinstance(target, ast.Name):
                 name = target.id
                 scope.locals_seen.add(name)
                 if name in scope.globals_declared:

@@ -98,6 +98,30 @@ class TestExtraction:
         }
         assert "aval" in eff.writes and "uaw" in eff.writes
 
+    def test_write_through_tuple_unpacked_alias_is_extracted(self, tmp_path):
+        # A seeded handler that writes node state only through names
+        # unpacked from it (``a, b = self.X[k]``, also nested inside a
+        # pairwise tuple assignment): each name aliases X.
+        path = tmp_path / "mechanism.py"
+        path.write_text(
+            "class LeaseNode:\n"
+            "    def _t5_update(self, w, msg):\n"
+            "        nids, rcvids = self.sntupdates[w]\n"
+            "        nids.append(msg.id)\n"
+            "\n"
+            "    def _t6_release(self, w, msg):\n"
+            "        (waiting, spare), n = self.snt.get(w), 0\n"
+            "        spare.discard(w)\n"
+            "\n"
+            "LeaseNode._DISPATCH.update(\n"
+            "    {Update: LeaseNode._t5_update, Release: LeaseNode._t6_release}\n"
+            ")\n",
+            encoding="utf-8",
+        )
+        effects = extract_core_effects(path)
+        assert effects["update"].writes == frozenset({"sntupdates"})
+        assert effects["release"].writes == frozenset({"snt"})
+
     def test_every_effect_is_node_local(self):
         graph = extract_reaction_graph()
         for impl in (graph.core, graph.flat):
@@ -310,7 +334,11 @@ class _StaleUpdateNode(LeaseNode):
         self.uaw[w].add(msg.id)
         if [v for v in self.grntd() if v != w]:
             nid = self.newid()
-            self.sntupdates.append((w, msg.id, nid))
+            if w not in self.sntupdates:
+                self.sntupdates[w] = ([], [])
+            nids, rcvids = self.sntupdates[w]
+            nids.append(nid)
+            rcvids.append(msg.id)
             self._forwardupdates(w, nid)
         else:
             self._forwardrelease()

@@ -6,7 +6,7 @@ import pytest
 
 from repro import AggregationSystem, MIN, SUM
 from repro.core.messages import Probe, Release, Response, Update
-from repro.core.mechanism import LeaseNode
+from repro.core.mechanism import LeaseNode, relay_triples
 from repro.core.policies import RWWPolicy
 from repro.tree import Tree, path_tree, star_tree, two_node_tree
 from repro.workloads import combine, write
@@ -238,7 +238,7 @@ class TestT5Update:
         assert dst == 2 and isinstance(msg, Update)
         assert msg.x == 6.0
         assert msg.id == 1  # relabeled with this node's newid
-        assert node.sntupdates == [(0, 9, 1)]
+        assert relay_triples(node.sntupdates) == ((0, 9, 1),)
 
     def test_second_update_triggers_release_rww(self):
         tree = two_node_tree()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +21,7 @@ from repro import (
     two_node_tree,
 )
 from repro.core.messages import Release, Response, Update
-from repro.core.mechanism import LeaseNode
+from repro.core.mechanism import LeaseNode, relay_triples
 from repro.core.policies import RWWPolicy as RWW
 from repro.offline.global_dp import global_offline_cost
 from repro.ops import k_smallest
@@ -61,11 +63,79 @@ class TestOnReleaseEdgeCases:
         for leaf in (1, 2, 3):
             node.on_message(leaf, Response(x=0.0, flag=True))
         node.granted[3] = True
-        node.sntupdates.append((1, 5, 9))  # relayed update from 1 only
+        node.sntupdates[1] = ([9], [5])  # relayed update from 1 only
         node.uaw[2].add(7)
         node.on_message(3, Release(S=frozenset({9, 10})))
         assert node.uaw[1] == set()  # in-window trim (id >= 5 kept: uaw empty anyway)
         assert node.uaw[2] == set()  # no window -> reset
+
+
+def _figure1_onrelease(node, entries, w, S):
+    """``onrelease(w, S)`` exactly as Figure 1 writes it: the window is a
+    scan of the ``(node, rcvid, sntid)`` triples ``entries``."""
+    for v in node.tkn():
+        if v == w:
+            continue
+        window = [t for t in entries if t[0] == v and t[2] >= min(S)] if S else []
+        if window:
+            beta = min(t[1] for t in window)
+            node.uaw[v] = {i for i in node.uaw[v] if i >= beta}
+        else:
+            node.uaw[v] = set()
+        if node.isgoodforrelease(v):
+            node.policy.release_policy(node, v)
+    node._forwardrelease()
+
+
+@st.composite
+def _release_scenarios(draw):
+    """A star center's state before a release: leases, ``uaw`` windows,
+    lease timers, a relay history with ``sntid``s increasing (with gaps,
+    as writes also draw ids) and ``rcvid``s in any order, and a release
+    ``S``, possibly empty."""
+    k = draw(st.integers(2, 5))
+    leaves = list(range(1, k + 1))
+    ids = st.integers(0, 30)
+    sntids = accumulate(draw(st.lists(st.integers(1, 3), max_size=25)))
+    entries = [(draw(st.sampled_from(leaves)), draw(ids), n) for n in sntids]
+    return {
+        "k": k,
+        "taken": {v: draw(st.booleans()) for v in leaves},
+        "granted": {v: draw(st.booleans()) for v in leaves},
+        "uaw": {v: draw(st.sets(ids, max_size=6)) for v in leaves},
+        "lt": {v: draw(st.integers(0, 6)) for v in leaves},
+        "entries": entries,
+        "w": draw(st.sampled_from(leaves)),
+        "S": frozenset(draw(st.sets(st.integers(0, 80), max_size=4))),
+    }
+
+
+class TestOnReleaseDifferential:
+    @given(_release_scenarios())
+    @settings(max_examples=300, deadline=None)
+    def test_indexed_window_matches_figure1_scan(self, sc):
+        """The ledger's bisect-and-suffix-minimum window gives the same
+        ``uaw``, lease timers, leases and messages as Figure 1's scan."""
+        tree = star_tree(sc["k"] + 1)
+        runs = []
+        for indexed in (True, False):
+            node, outbox = make_node(tree, 0)
+            node.taken.update(sc["taken"])
+            node.granted.update(sc["granted"])
+            node.granted[sc["w"]] = False  # T6 clears it before onrelease
+            node.uaw.update({v: set(s) for v, s in sc["uaw"].items()})
+            node.policy.lt.update(sc["lt"])
+            if indexed:
+                for v, rcvid, nid in sc["entries"]:
+                    nids, rcvids = node.sntupdates.setdefault(v, ([], []))
+                    nids.append(nid)
+                    rcvids.append(rcvid)
+                assert relay_triples(node.sntupdates) == tuple(sc["entries"])
+                node._onrelease(sc["w"], sc["S"])
+            else:
+                _figure1_onrelease(node, sc["entries"], sc["w"], sc["S"])
+            runs.append((dict(node.uaw), dict(node.policy.lt), dict(node.taken), outbox))
+        assert runs[0] == runs[1]
 
 
 class TestRelabeledUpdateChain:
@@ -76,8 +146,8 @@ class TestRelabeledUpdateChain:
         system.execute(write(3, 5.0))
         # Each hop re-labels the update with its own counter; sntupdates
         # records the mapping at the interior nodes.
-        assert system.nodes[2].sntupdates == [(3, 1, 1)]
-        assert system.nodes[1].sntupdates == [(2, 1, 1)]
+        assert relay_triples(system.nodes[2].sntupdates) == ((3, 1, 1),)
+        assert relay_triples(system.nodes[1].sntupdates) == ((2, 1, 1),)
         system.execute(write(3, 6.0))  # second write: cascade of releases
         assert not system.nodes[1].granted[0]
         assert not system.nodes[2].granted[1]

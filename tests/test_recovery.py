@@ -17,7 +17,8 @@ import random
 import pytest
 
 from repro.core.engine import ScheduledRequest, reliable_concurrent_system
-from repro.core.messages import Probe
+from repro.core.mechanism import relay_triples
+from repro.core.messages import Probe, Update
 from repro.core.policies import NeverLeasePolicy
 from repro.core.runtime import NodeRuntime
 from repro.recovery import Checkpoint, CheckpointStore, RecoveryConfig
@@ -55,17 +56,44 @@ def _schedule(requests, gap=100.0):
 class TestCheckpoint:
     def test_capture_restore_roundtrip(self):
         system = _reliable(path_tree(3), FaultPlan())
-        system.run(_schedule([write(0, 5.0), combine(2), write(2, 7.0)]))
+        system.run(_schedule([write(0, 5.0), combine(2), write(0, 6.0), write(2, 7.0)]))
         node = system.runtime.nodes[1]
+        history = relay_triples(node.sntupdates)
+        assert history  # node 1 relayed 0's write toward 2
         before = node.state_snapshot()
         cp = Checkpoint.capture(node, seq=0, time=system.runtime.now)
+
+        # A relay after the capture appends to the live ledger only.
+        node.on_message(0, Update(x=8.0, id=2))
+        assert relay_triples(node.sntupdates) != history
 
         # Wreck the volatile state, then restore.
         node.crash_volatile()
         node.taken = {k: False for k in node.taken}
         node.granted = {k: False for k in node.granted}
+        node.sntupdates[2] = ([50], [3])
         cp.restore(node)
-        assert node.state_snapshot() == before
+        assert relay_triples(node.sntupdates) == history
+        # upcntr (index 8) is durable: the relay's fresh id survives.
+        assert node.state_snapshot() == before[:8] + (node.upcntr,) + before[9:]
+
+        # The restored ledger is the node's own copy, not the checkpoint's.
+        node.on_message(0, Update(x=9.0, id=3))
+        cp.restore(node)
+        assert relay_triples(node.sntupdates) == history
+
+    def test_digest_tracks_content(self):
+        system = _reliable(path_tree(3), FaultPlan())
+        system.run(_schedule([combine(2), write(0, 6.0)]))
+        node = system.runtime.nodes[1]
+        first = Checkpoint.capture(node, seq=0, time=0.0)
+        second = Checkpoint.capture(node, seq=1, time=1.0)
+        assert first.digest == second.digest
+        node.on_message(0, Update(x=8.0, id=2))
+        third = Checkpoint.capture(node, seq=2, time=2.0)
+        assert third.digest != second.digest
+        # Read after the relay, the earlier captures still digest as taken.
+        assert second.digest == first.digest
 
     def test_store_keeps_latest_per_node(self):
         store = CheckpointStore()

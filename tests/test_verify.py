@@ -265,7 +265,11 @@ class _StaleUpdateNode(LeaseNode):
         self.uaw[w].add(msg.id)
         if [v for v in self.grntd() if v != w]:
             nid = self.newid()
-            self.sntupdates.append((w, msg.id, nid))
+            if w not in self.sntupdates:
+                self.sntupdates[w] = ([], [])
+            nids, rcvids = self.sntupdates[w]
+            nids.append(nid)
+            rcvids.append(msg.id)
             self._forwardupdates(w, nid)
         else:
             self._forwardrelease()
