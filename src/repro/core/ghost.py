@@ -12,11 +12,24 @@ moment the combine returned.
 :class:`GhostLog` implements all of this.  It is pure instrumentation: the
 mechanism never branches on ghost state, so enabling it cannot change
 message behaviour (tests assert this).
+
+The merge walks only the part of a snapshot it has not walked before.  A
+node's ``wlog`` only grows, and it is durable: a crash never rolls it back,
+a checkpoint never captures it, and the live deployment never enables
+ghosts.  So every snapshot from sender ``w`` is a prefix of ``w``'s current
+write log, and once a snapshot of length ``k`` from ``w`` has been merged,
+the first ``k`` entries of any later snapshot from ``w`` are already in the
+log.  :meth:`GhostLog.merge` keeps that ``k`` per sender (the *cursor*) and
+walks ``snapshot[k:]``; a reordered or duplicated snapshot no longer than
+the cursor adds nothing.  The cursor is a pure cache of what the literal
+merge would find: it is not part of the node's protocol state, and a host
+that rebuilt a node with an empty ghost log would have to drop its
+neighbors' cursors for it (:meth:`GhostLog.forget_sender`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from repro.workloads.requests import GATHER, WRITE, Request
 
@@ -39,6 +52,8 @@ class GhostLog:
         self.wlog: List[Request] = []
         self._writes_seen: Set[Tuple[int, int]] = set()
         self._recent: Dict[int, int] = {}
+        #: sender -> length of the longest snapshot merged from it.
+        self._cursor: Dict[int, int] = {}
 
     # ------------------------------------------------------------ mutations
     def append_write(self, request: Request) -> None:
@@ -70,14 +85,21 @@ class GhostLog:
         self.log.append(gather)
         return gather
 
-    def merge(self, wlog_snapshot: Iterable[Request]) -> int:
-        """T4/T5's ghost action: ``log := log . (wlog_w − log)``.
+    def merge(self, sender: int, wlog_snapshot: Sequence[Request]) -> int:
+        """T4/T5's ghost action: ``log := log . (wlog_w − log)`` for a
+        snapshot of neighbor ``sender``'s write log.
 
         Appends, in snapshot order, every write not already present.
-        Returns how many writes were appended.
+        Returns how many writes were appended.  Walks only the entries past
+        ``sender``'s cursor, the length of the longest snapshot merged from
+        it so far; the module docstring says why that is exact.
         """
+        start = self._cursor.get(sender, 0)
+        if len(wlog_snapshot) <= start:
+            return 0
+        self._cursor[sender] = len(wlog_snapshot)
         added = 0
-        for q in wlog_snapshot:
+        for q in wlog_snapshot[start:]:
             key = (q.node, q.index)
             if key not in self._writes_seen:
                 self.log.append(q)
@@ -86,6 +108,16 @@ class GhostLog:
                 self._recent[q.node] = q.index
                 added += 1
         return added
+
+    def rename_sender(self, old: int, new: int) -> None:
+        """Neighbor ``old`` is now called ``new``: move its cursor."""
+        if old in self._cursor:
+            self._cursor[new] = self._cursor.pop(old)
+
+    def forget_sender(self, sender: int) -> None:
+        """Drop ``sender``'s cursor, so the next snapshot under that id is
+        walked whole (it may come from a different node)."""
+        self._cursor.pop(sender, None)
 
     # --------------------------------------------------------------- queries
     def wlog_snapshot(self) -> Tuple[Request, ...]:

@@ -344,7 +344,7 @@ class LeaseNode:
         self.policy.response_rcvd(self, msg.flag, w)
         self.aval[w] = msg.x
         if self.ghost is not None and msg.wlog is not None:
-            self.ghost.merge(msg.wlog)
+            self.ghost.merge(w, msg.wlog)
         if msg.flag and not self.taken[w]:
             self.trace.emit(self._clock(), "lease_acquired", self.id, source=w)
         self.taken[w] = msg.flag
@@ -370,7 +370,7 @@ class LeaseNode:
         self.policy.update_rcvd(self, w)
         self.aval[w] = msg.x
         if self.ghost is not None and msg.wlog is not None:
-            self.ghost.merge(msg.wlog)
+            self.ghost.merge(w, msg.wlog)
         self.uaw[w].add(msg.id)
         if [v for v in self.grntd() if v != w]:
             nid = self.newid()
@@ -623,6 +623,9 @@ class LeaseNode:
         self.nbrs = [u for u in tree.neighbors(self.id) if u != v]
         for table in (self.taken, self.granted, self.aval, self.uaw, self.sntupdates):
             table.pop(v, None)
+        if self.ghost is not None:
+            # A later neighbor under this id starts from its own log.
+            self.ghost.forget_sender(v)
         self.snt.pop(v, None)
         self.pndg.discard(v)
         # A round still waiting on the departed neighbor (possible when a
@@ -655,6 +658,8 @@ class LeaseNode:
         for table in (self.taken, self.granted, self.aval, self.uaw, self.sntupdates):
             if old in table:
                 table[new] = table.pop(old)
+        if self.ghost is not None:
+            self.ghost.rename_sender(old, new)
         if old in self.snt:
             self.snt[new] = self.snt.pop(old)
         for targets in self.snt.values():

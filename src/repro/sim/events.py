@@ -3,7 +3,9 @@
 An :class:`Event` is a scheduled callback; the :class:`EventQueue` is a
 binary-heap priority queue ordered by ``(time, sequence)``.  The sequence
 number makes the order of same-time events deterministic (insertion order),
-which keeps every simulation reproducible for a given seed.
+which keeps every simulation reproducible for a given seed.  The heap holds
+``(time, seq, event)`` tuples, so ordering is a built-in tuple comparison
+that never reaches the event (``seq`` is unique).
 """
 
 from __future__ import annotations
@@ -11,12 +13,12 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 
-@dataclass(order=True)
+@dataclass
 class Event:
-    """A scheduled callback, ordered by ``(time, seq)``.
+    """A scheduled callback, fired in ``(time, seq)`` order.
 
     Attributes
     ----------
@@ -47,11 +49,11 @@ class EventQueue:
     """A deterministic priority queue of :class:`Event` objects."""
 
     def __init__(self) -> None:
-        self._heap: List[Event] = []
+        self._heap: List[Tuple[float, int, Event]] = []
         self._counter = itertools.count()
 
     def __len__(self) -> int:
-        return sum(1 for e in self._heap if not e.cancelled)
+        return sum(1 for _, _, e in self._heap if not e.cancelled)
 
     def __bool__(self) -> bool:
         return len(self) > 0
@@ -60,23 +62,24 @@ class EventQueue:
         """Schedule ``action`` at ``time``; returns the (cancellable) event."""
         if time < 0:
             raise ValueError(f"event time must be non-negative, got {time}")
-        ev = Event(time=time, seq=next(self._counter), action=action, label=label)
-        heapq.heappush(self._heap, ev)
+        seq = next(self._counter)
+        ev = Event(time=time, seq=seq, action=action, label=label)
+        heapq.heappush(self._heap, (time, seq, ev))
         return ev
 
     def pop(self) -> Optional[Event]:
         """Remove and return the earliest non-cancelled event, or None."""
         while self._heap:
-            ev = heapq.heappop(self._heap)
+            ev = heapq.heappop(self._heap)[2]
             if not ev.cancelled:
                 return ev
         return None
 
     def peek_time(self) -> Optional[float]:
         """The firing time of the next non-cancelled event, or None."""
-        while self._heap and self._heap[0].cancelled:
+        while self._heap and self._heap[0][2].cancelled:
             heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None
+        return self._heap[0][0] if self._heap else None
 
     def clear(self) -> None:
         """Drop all pending events."""

@@ -140,11 +140,13 @@ class TestGhostMachinery:
             g.append_write(combine(0))
 
     def test_merge_idempotent(self):
-        g = GhostLog(2)
+        g = GhostLog(3)
         q = write(1, 3.0)
         q.index = 0
-        assert g.merge([q]) == 1
-        assert g.merge([q]) == 0
+        assert g.merge(1, [q]) == 1
+        assert g.merge(1, [q]) == 0
+        # The same write relayed by another neighbor is not appended again.
+        assert g.merge(2, [q]) == 0
         assert len(g.wlog) == 1
 
     def test_extend_with_missing_writes_dedupes(self):

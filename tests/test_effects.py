@@ -330,7 +330,7 @@ class _StaleUpdateNode(LeaseNode):
     def _t5_update_broken(self, w, msg):
         self.policy.update_rcvd(self, w)
         if self.ghost is not None and msg.wlog is not None:
-            self.ghost.merge(msg.wlog)
+            self.ghost.merge(w, msg.wlog)
         self.uaw[w].add(msg.id)
         if [v for v in self.grntd() if v != w]:
             nid = self.newid()
