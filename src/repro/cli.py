@@ -30,9 +30,13 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from repro.core.engine import AggregationSystem
+from repro.core.engine import AggregationSystem, ConcurrentAggregationSystem
 from repro.core.policies import ABPolicy, AlwaysLeasePolicy, NeverLeasePolicy
 from repro.core.policies import RWWPolicy
+from repro.core.runtime import Router
+from repro.sim.faults import FaultyNetwork
+from repro.sim.reliability import ReliableNetwork
+from repro.sim.scheduler import Simulator
 from repro.tree.generators import (
     binary_tree,
     path_tree,
@@ -922,16 +926,27 @@ def _load_profile(path: str) -> dict:
     return data
 
 
-def cmd_perf_record(args) -> int:
-    """Run a seeded workload with the wall-clock profiler and the online
-    cost meter attached; write the profile JSON and a collapsed-stack file.
+def _message_phase(router: Router, src: int, dst: int, message: object) -> str:
+    return "mechanism." + type(message).__name__.lower()
 
-    The profile captures per-phase wall-clock totals (inclusive and self),
-    call counts, named counters, the collapsed stacks, and — for static-tree
-    runs — the live cost-vs-OPT report from the streaming cost meter.
-    """
+
+#: The entry points ``perf record`` times, as (class, method, phase); a
+#: phase is a name or a function of the call's arguments.  The table lives
+#: here rather than in :mod:`repro.obs.perf` because ``repro.obs`` may not
+#: import the simulator layers (lint rule PL302).
+PERF_ATTACH_POINTS = (
+    (Router, "route", _message_phase),
+    (Simulator, "run", "sim.run"),
+    (FaultyNetwork, "_deliver", "faults.deliver"),
+    (ConcurrentAggregationSystem, "_initiate", "engine.initiate"),
+    (ReliableNetwork, "_on_timeout", "reliability.timeout"),
+)
+
+
+def run_perf_workload(args):
+    """Build and run the seeded workload ``perf record`` profiles (``seq``
+    or ``chaos`` mode, per ``args``); returns ``(system, result)``."""
     from repro.core.engine import ScheduledRequest, reliable_concurrent_system
-    from repro.obs.perf import PerfProfiler
     from repro.sim.channel import constant_latency
     from repro.sim.faults import FaultPlan
     from repro.sim.reliability import ReliabilityConfig
@@ -939,33 +954,57 @@ def cmd_perf_record(args) -> int:
     tree = make_tree(args.topology, args.nodes, args.seed)
     wl = uniform_workload(tree.n, args.length, read_ratio=args.read_ratio,
                           seed=args.seed)
-    profiler = PerfProfiler()
     if args.mode == "seq":
-        system = AggregationSystem(tree, profiler=profiler, cost_accounting=True)
-        result = system.run(copy_sequence(wl))
-    else:
-        rate = args.fault_pct / 100
-        system = reliable_concurrent_system(
-            tree,
-            FaultPlan(drop_prob=rate, duplicate_prob=rate / 2, reorder_prob=rate,
-                      seed=args.seed + 5),
-            config=ReliabilityConfig(base_timeout=6.0, backoff=1.5,
-                                     max_timeout=20.0, combine_deadline=args.gap),
-            latency=constant_latency(1.0),
-            seed=args.seed,
-            profiler=profiler,
-            cost_accounting=True,
-        )
-        result = system.run([
-            ScheduledRequest(time=args.gap * i, request=q)
-            for i, q in enumerate(copy_sequence(wl))
-        ])
+        system = AggregationSystem(tree, cost_accounting=True)
+        return system, system.run(copy_sequence(wl))
+    rate = args.fault_pct / 100
+    system = reliable_concurrent_system(
+        tree,
+        FaultPlan(drop_prob=rate, duplicate_prob=rate / 2, reorder_prob=rate,
+                  seed=args.seed + 5),
+        config=ReliabilityConfig(base_timeout=6.0, backoff=1.5,
+                                 max_timeout=20.0, combine_deadline=args.gap),
+        latency=constant_latency(1.0),
+        seed=args.seed,
+        cost_accounting=True,
+    )
+    return system, system.run([
+        ScheduledRequest(time=args.gap * i, request=q)
+        for i, q in enumerate(copy_sequence(wl))
+    ])
+
+
+def cmd_perf_record(args) -> int:
+    """Run a seeded workload with the wall-clock profiler attached to
+    :data:`PERF_ATTACH_POINTS` and the online cost meter on; write the
+    profile JSON and a collapsed-stack file.
+
+    The profile captures per-phase wall-clock totals (inclusive and self),
+    call counts, named counters, the collapsed stacks, and — for static-tree
+    runs — the live cost-vs-OPT report from the streaming cost meter.
+    """
+    from repro.obs.perf import PerfProfiler
+
+    profiler = PerfProfiler()
+    # Attach before building: the runtime binds Router.route at construction.
+    for owner, attr, phase in PERF_ATTACH_POINTS:
+        profiler.attach(owner, attr, phase)
+    try:
+        system, result = run_perf_workload(args)
+    finally:
+        profiler.detach()
+    profiler.count("messages_routed", sum(
+        n for name, n in profiler.phase_count.items() if name.startswith("mechanism.")
+    ))
+    if args.mode == "chaos":
+        profiler.count("sim.events", system.sim.events_processed)
+        profiler.count("reliability.retransmits", system.network.summary.retransmits)
     data = profiler.snapshot()
     data["run"] = {
         "mode": args.mode,
         "topology": args.topology,
-        "nodes": tree.n,
-        "length": len(wl),
+        "nodes": system.tree.n,
+        "length": len(result.requests),
         "read_ratio": args.read_ratio,
         "seed": args.seed,
         "messages": result.total_messages,
@@ -1025,15 +1064,9 @@ def cmd_perf_report(args) -> int:
 def cmd_perf_flame(args) -> int:
     """Emit the profile's collapsed stacks (``frame;frame weight`` lines) —
     the input format of standard flamegraph renderers."""
-    data = _load_profile(args.profile)
-    stacks = data.get("stacks", {})
-    from repro.obs.perf import _COLLAPSED_SCALE
+    from repro.obs.perf import format_collapsed
 
-    lines = [
-        f"{key} {round(weight * _COLLAPSED_SCALE)}"
-        for key, weight in sorted(stacks.items())
-        if round(weight * _COLLAPSED_SCALE) > 0
-    ]
+    lines = format_collapsed(_load_profile(args.profile).get("stacks", {}))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + ("\n" if lines else ""))

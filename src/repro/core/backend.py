@@ -276,7 +276,6 @@ def build_backend(
     seed: int = 0,
     node_cls: Any = None,
     recovery: Any = None,
-    profiler: Any = None,
     cost_accounting: bool = False,
     require: Any = (),
     fallback: bool = False,
@@ -328,7 +327,6 @@ def build_backend(
                     op=op,
                     policy_factory=policy_factory,
                     metrics=metrics,
-                    profiler=profiler,
                     cost_accounting=cost_accounting,
                 )
             except BackendUnsupported as exc:
@@ -347,7 +345,6 @@ def build_backend(
         seed=seed,
         node_cls=node_cls,
         recovery=recovery,
-        profiler=profiler,
         cost_accounting=cost_accounting,
     )
 

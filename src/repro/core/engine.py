@@ -48,7 +48,6 @@ from repro.core.runtime import (
 )
 from repro.obs.costmeter import CostMeter, CostReport
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.perf import PerfProfiler
 from repro.obs.spans import RequestSpan
 from repro.ops.monoid import AggregationOperator
 from repro.ops.standard import SUM
@@ -215,10 +214,6 @@ class _RuntimeDriver:
         return self.runtime.sim
 
     @property
-    def profiler(self) -> Optional[PerfProfiler]:
-        return self.runtime.profiler
-
-    @property
     def cost_meter(self) -> Optional[CostMeter]:
         return self.runtime.cost_meter
 
@@ -319,7 +314,6 @@ class AggregationSystem(_RuntimeDriver):
         transport: Optional[TransportConfig] = None,
         seed: int = 0,
         recovery: Optional[Any] = None,
-        profiler: Optional[PerfProfiler] = None,
         cost_accounting: bool = False,
         backend: str = "reference",
     ) -> None:
@@ -335,7 +329,6 @@ class AggregationSystem(_RuntimeDriver):
             trace_max_events=trace_max_events,
             seed=seed,
             recovery=recovery,
-            profiler=profiler,
             cost_accounting=cost_accounting,
             require=self._backend_require,
             fallback=self._backend_fallback,
@@ -423,7 +416,6 @@ class ConcurrentAggregationSystem(_RuntimeDriver):
         trace_max_events: Optional[int] = None,
         transport: Optional[TransportConfig] = None,
         recovery: Optional[Any] = None,
-        profiler: Optional[PerfProfiler] = None,
         cost_accounting: bool = False,
         backend: str = "reference",
     ) -> None:
@@ -445,7 +437,6 @@ class ConcurrentAggregationSystem(_RuntimeDriver):
             trace_max_events=trace_max_events,
             seed=seed,
             recovery=recovery,
-            profiler=profiler,
             cost_accounting=cost_accounting,
             require={"sim"},
         )
@@ -624,7 +615,6 @@ def faulty_concurrent_system(
     reliability: Optional[ReliabilityConfig] = None,
     trace_enabled: bool = False,
     recovery: Optional[Any] = None,
-    profiler: Optional[PerfProfiler] = None,
     cost_accounting: bool = False,
 ) -> ConcurrentAggregationSystem:
     """A :class:`ConcurrentAggregationSystem` whose transport is lossy.
@@ -658,7 +648,6 @@ def faulty_concurrent_system(
         trace_enabled=trace_enabled,
         transport=config,
         recovery=recovery,
-        profiler=profiler,
         cost_accounting=cost_accounting,
     )
 
@@ -674,7 +663,6 @@ def reliable_concurrent_system(
     ghost: bool = True,
     trace_enabled: bool = False,
     recovery: Optional[Any] = None,
-    profiler: Optional[PerfProfiler] = None,
     cost_accounting: bool = False,
 ) -> ConcurrentAggregationSystem:
     """A concurrent system whose lossy transport is healed by a
@@ -691,7 +679,6 @@ def reliable_concurrent_system(
         reliability=config if config is not None else ReliabilityConfig(),
         trace_enabled=trace_enabled,
         recovery=recovery,
-        profiler=profiler,
         cost_accounting=cost_accounting,
     )
 

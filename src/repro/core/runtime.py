@@ -25,6 +25,11 @@ The layering (see DESIGN.md):
     telemetry    TraceLog / MetricsRegistry / RequestSpan  (threaded
                  through every layer above)
 
+Wall-clock profiling is not threaded through:
+:class:`~repro.obs.perf.PerfProfiler` attaches to the methods it times
+(:meth:`Router.route` among them) from outside, so no runtime object
+holds a reference to it.
+
 Because the runtime builds its transport from a declarative
 :class:`~repro.sim.transport.TransportConfig`, *any* engine composes with
 *any* stack: multi-attribute batching over the concurrent model, dynamic
@@ -43,7 +48,6 @@ from repro.core.mechanism import LeaseNode
 from repro.core.policies import LeasePolicy, RWWPolicy
 from repro.obs.costmeter import CostMeter
 from repro.obs.metrics import MetricsBridge, MetricsRegistry
-from repro.obs.perf import PerfProfiler
 from repro.obs.spans import RequestSpan
 from repro.ops.monoid import AggregationOperator
 from repro.ops.standard import SUM
@@ -76,28 +80,17 @@ class Router:
     One instance per runtime: the transport's ``receiver`` callback is
     :meth:`route`, which looks up the destination node and hands the
     message to its automaton.  Topology changes go through
-    :meth:`add` / :meth:`remove` / :meth:`rename`.
+    :meth:`add` / :meth:`remove` / :meth:`rename`.  The runtime binds
+    :meth:`route` when it builds the transport, so a ``PerfProfiler``
+    attached to ``Router.route`` times only runtimes built after the
+    attach.
     """
 
-    def __init__(self, profiler: Optional[PerfProfiler] = None) -> None:
+    def __init__(self) -> None:
         self.nodes: Dict[int, LeaseNode] = {}
-        #: Optional wall-clock profiler; when enabled, :meth:`route` wraps
-        #: each delivery in a ``mechanism.<kind>`` phase.  Disabled or
-        #: absent, the dispatch path pays one attribute load and a branch —
-        #: no allocation, and ``LeaseNode.on_message`` itself is untouched.
-        self.profiler = profiler
 
     def route(self, src: int, dst: int, message: Any) -> None:
         """Deliver ``message`` (sent by ``src``) to node ``dst``."""
-        prof = self.profiler
-        if prof is not None and prof.enabled:
-            prof.count("messages_routed")
-            prof.push("mechanism." + type(message).__name__.lower())
-            try:
-                self.nodes[dst].on_message(src, message)
-            finally:
-                prof.pop()
-            return
         self.nodes[dst].on_message(src, message)
 
     def add(self, node: LeaseNode) -> LeaseNode:
@@ -172,7 +165,6 @@ class NodeRuntime(RuntimeTelemetry):
         seed: int = 0,
         node_cls: Type[LeaseNode] = LeaseNode,
         recovery: Optional[Any] = None,
-        profiler: Optional[PerfProfiler] = None,
         cost_accounting: bool = False,
         clock: Optional[Callable[[], float]] = None,
     ) -> None:
@@ -186,21 +178,14 @@ class NodeRuntime(RuntimeTelemetry):
         if trace_enabled:
             self.trace.subscribe(MetricsBridge(self.metrics))
         self.stats = MessageStats()
-        #: Optional wall-clock profiler, threaded into the scheduler's
-        #: event loop, the router's dispatch and the reliable layer's
-        #: retransmit path.  ``None`` (the default) keeps every hot path
-        #: on its historical unguarded code.
-        self.profiler = profiler
         #: Streaming observed-vs-OPT accountant (``cost_accounting=True``);
         #: engines feed it one request per initiation, in order.  Dropped
         #: on :meth:`set_topology` — the per-edge DP assumes a static tree.
         self.cost_meter: Optional[CostMeter] = (
             CostMeter(tree, self.stats) if cost_accounting else None
         )
-        self.sim: Optional[Simulator] = (
-            Simulator(profiler=profiler) if self.config.needs_sim else None
-        )
-        self.router = Router(profiler=profiler)
+        self.sim: Optional[Simulator] = Simulator() if self.config.needs_sim else None
+        self.router = Router()
         self.network: Transport = build_transport(
             self.config,
             tree,
@@ -210,7 +195,6 @@ class NodeRuntime(RuntimeTelemetry):
             stats=self.stats,
             trace=self.trace,
             metrics=self.metrics,
-            profiler=profiler,
         )
         self._ghost = ghost
         self.node_cls = node_cls
@@ -242,7 +226,6 @@ class NodeRuntime(RuntimeTelemetry):
                 metrics=self.metrics,
                 clock=self._clock,
                 is_down=self.is_down,
-                profiler=profiler,
             )
             if self.sim is not None:
                 self._schedule_recovery_ticks(self.recovery, self.sim)

@@ -174,7 +174,6 @@ class FlatRuntime(RuntimeTelemetry):
         policy_factory: Callable[[], Any] = RWWPolicy,
         *,
         metrics: Optional[MetricsRegistry] = None,
-        profiler: Any = None,
         cost_accounting: bool = False,
     ) -> None:
         self.tree = tree
@@ -184,7 +183,6 @@ class FlatRuntime(RuntimeTelemetry):
         self.trace = TraceLog(enabled=False)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.spans: List[Any] = []
-        self.profiler = profiler
         self.sim = None
         self.recovery = None
 
@@ -452,18 +450,8 @@ class FlatRuntime(RuntimeTelemetry):
 
     def drain(self) -> None:
         """Run the wire to quiescence (batched; see module doc)."""
-        if not self._queue:
-            return
-        prof = self.profiler
-        if prof is None or not prof.enabled:
+        if self._queue:
             self._kernel()
-            return
-        prof.push("flat.drain")
-        try:
-            delivered = self._kernel()
-        finally:
-            prof.pop()
-        prof.count("messages_routed", delivered)
 
     def _kernel(self) -> int:
         """Deliver until the queue is empty; returns the delivery count.

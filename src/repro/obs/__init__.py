@@ -20,9 +20,9 @@ those quantities first-class at runtime:
     structured :class:`MonitorViolation` in tests/CI and print as warnings
     in the CLI.
 ``repro.obs.perf``
-    :class:`PerfProfiler` — wall-clock phase timers and counters threaded
-    through the hot paths, with a null-object disabled mode, collapsed
-    (flamegraph) stacks and per-phase histograms.
+    :class:`PerfProfiler` — wall-clock phase timers and counters,
+    attached to class attributes from outside and detached afterwards,
+    with collapsed (flamegraph) stacks.
 ``repro.obs.costmeter``
     :class:`CostMeter` — streaming per-edge DP accountant comparing the
     observed message cost against the offline OPT lower bound live.
@@ -64,22 +64,14 @@ from repro.obs.monitors import (
     attach_standard_monitors,
     expected_probe_edges,
 )
-from repro.obs.perf import (
-    NULL_PROFILER,
-    NullProfiler,
-    PerfProfiler,
-    PHASE_SECONDS_BUCKETS,
-    parse_collapsed,
-)
+from repro.obs.perf import PerfProfiler, format_collapsed, parse_collapsed
 from repro.obs.spans import RequestSpan, probe_fanout_from_events, span_summary
 
 __all__ = [
     "CostMeter",
     "CostReport",
-    "NULL_PROFILER",
-    "NullProfiler",
     "PerfProfiler",
-    "PHASE_SECONDS_BUCKETS",
+    "format_collapsed",
     "parse_collapsed",
     "Counter",
     "Gauge",

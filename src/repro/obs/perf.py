@@ -1,87 +1,51 @@
-"""Wall-clock phase profiling with a near-zero-overhead disabled mode.
+"""Wall-clock phase profiling, attached to a run from outside.
 
-The virtual-time telemetry of PR 2 (:mod:`repro.obs.metrics`,
+The virtual-time telemetry (:mod:`repro.obs.metrics`,
 :mod:`repro.obs.spans`) answers *protocol* questions — how many messages,
 which edges, what latency in simulated time.  It says nothing about where
 the **wall clock** goes, which is the question the ROADMAP's flat-engine
 work needs answered (the throughput collapse from ~26k req/s at n=7 to
 ~1k req/s at n=255 is a Python-execution problem, not a protocol one).
 
-:class:`PerfProfiler` is an explicit phase profiler: the hot paths —
-the :class:`~repro.sim.scheduler.Simulator` event loop, the
-:class:`~repro.core.runtime.Router` dispatch into
-``LeaseNode.on_message``, the reliable layer's retransmit path, the
-recovery manager's checkpoint sweeps — push/pop named phases around their
-work.  Per phase it accumulates call counts, inclusive seconds and *self*
-seconds (inclusive minus time attributed to nested phases), and optionally
+:class:`PerfProfiler` is an explicit phase profiler.  Per phase it
+accumulates call counts, inclusive seconds and *self* seconds (inclusive
+minus time attributed to nested phases), and a collapsed-stack table
+(``"a;b;c" -> self-seconds``) ready for any flamegraph renderer
+(:func:`format_collapsed` renders it in the standard one-line-per-stack
+format, :func:`parse_collapsed` reads it back).
 
-* a collapsed-stack table (``"a;b;c" -> self-seconds``) ready for any
-  flamegraph renderer (:meth:`PerfProfiler.write_collapsed` emits the
-  standard one-line-per-stack format, :func:`parse_collapsed` reads it
-  back), and
-* per-phase wall-clock histograms into an existing
-  :class:`~repro.obs.metrics.MetricsRegistry` (instrument
-  ``perf_phase_seconds`` labeled by ``phase``).
-
-**Disabled mode is the null-object pattern**: hot paths hold an optional
-profiler and guard with ``profiler is not None and profiler.enabled`` —
-one attribute load and a branch, no allocation, no per-message attribute
-on any node.  :data:`NULL_PROFILER` (a :class:`NullProfiler`) is a shared
-do-nothing instance for call sites that prefer unconditional calls.
-
-The profiler is deliberately *not* threaded into ``LeaseNode`` itself:
-the automaton's ``on_message`` stays byte-identical, and per-message-kind
-attribution happens one frame up, in the router (phase
-``mechanism.<kind>``).
+Nothing in the engines, transports or the automaton holds a profiler.
+:meth:`PerfProfiler.attach` replaces a class attribute with a wrapper that
+pushes a named phase around the original, and :meth:`PerfProfiler.detach`
+restores every original, so code that is not being profiled runs exactly
+as shipped.  ``python -m repro perf record`` keeps the table of entry
+points it attaches (:data:`repro.cli.PERF_ATTACH_POINTS`): this package may
+not import the simulator layers (lint rule PL302).  ``LeaseNode`` is never
+attached; per-message-kind attribution happens one frame up, at
+``Router.route`` (phase ``mechanism.<kind>``).
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import time
-from types import TracebackType
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Type
-
-from repro.obs.metrics import MetricsRegistry
+from contextlib import contextmanager
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Tuple, Union
 
 __all__ = [
-    "NULL_PROFILER",
-    "NullProfiler",
     "PerfProfiler",
-    "PHASE_SECONDS_BUCKETS",
+    "format_collapsed",
     "parse_collapsed",
 ]
-
-#: Histogram bucket bounds for ``perf_phase_seconds`` — log-spaced from a
-#: microsecond (one dispatch) to a second (a whole benchmark phase).
-PHASE_SECONDS_BUCKETS: Tuple[float, ...] = (
-    1e-6, 3e-6, 1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1, 3e-1, 1.0,
-)
 
 #: Scale used when rendering collapsed stacks: flamegraph tooling expects
 #: integer sample counts, so self-seconds are written as microseconds.
 _COLLAPSED_SCALE = 1_000_000
 
-
-class _Phase:
-    """Context-manager view over one push/pop pair (``with prof.phase(n):``)."""
-
-    __slots__ = ("_profiler", "_name")
-
-    def __init__(self, profiler: "PerfProfiler", name: str) -> None:
-        self._profiler = profiler
-        self._name = name
-
-    def __enter__(self) -> "_Phase":
-        self._profiler.push(self._name)
-        return self
-
-    def __exit__(
-        self,
-        exc_type: Optional[Type[BaseException]],
-        exc: Optional[BaseException],
-        tb: Optional[TracebackType],
-    ) -> None:
-        self._profiler.pop()
+#: A phase: a fixed name, or a function of the timed call's arguments
+#: (``self`` included) that returns the name.
+Phase = Union[str, Callable[..., str]]
 
 
 class PerfProfiler:
@@ -89,13 +53,6 @@ class PerfProfiler:
 
     Parameters
     ----------
-    registry:
-        Optional :class:`MetricsRegistry`; when given, every phase exit
-        observes its inclusive duration into the ``perf_phase_seconds``
-        histogram labeled ``phase=<name>``.
-    collect_stacks:
-        Accumulate the collapsed-stack table (sampling mode).  Off, the
-        profiler keeps only the flat per-phase totals.
     clock:
         Injectable time source (defaults to :func:`time.perf_counter`);
         tests substitute a deterministic counter.
@@ -108,17 +65,7 @@ class PerfProfiler:
     profiler that *emits* the sampling-profiler interchange format).
     """
 
-    enabled: bool = True
-
-    def __init__(
-        self,
-        registry: Optional[MetricsRegistry] = None,
-        *,
-        collect_stacks: bool = True,
-        clock: Callable[[], float] = time.perf_counter,
-    ) -> None:
-        self.registry = registry
-        self.collect_stacks = collect_stacks
+    def __init__(self, *, clock: Callable[[], float] = time.perf_counter) -> None:
         self._clock = clock
         #: phase name -> number of completed push/pop pairs.
         self.phase_count: Dict[str, int] = {}
@@ -133,6 +80,8 @@ class PerfProfiler:
         self._names: List[str] = []
         self._starts: List[float] = []
         self._child: List[float] = []
+        #: (owner, attribute, original) per :meth:`attach`, oldest first.
+        self._attached: List[Tuple[type, str, Callable[..., Any]]] = []
 
     # ------------------------------------------------------------- recording
     def push(self, name: str) -> None:
@@ -155,18 +104,18 @@ class PerfProfiler:
         self.phase_self[name] = self.phase_self.get(name, 0.0) + self_time
         if self._child:
             self._child[-1] += elapsed
-        if self.collect_stacks:
-            key = ";".join(self._names) + ";" + name if self._names else name
-            self.stacks[key] = self.stacks.get(key, 0.0) + self_time
-        if self.registry is not None:
-            self.registry.histogram(
-                "perf_phase_seconds", buckets=PHASE_SECONDS_BUCKETS, phase=name
-            ).observe(elapsed)
+        key = ";".join(self._names) + ";" + name if self._names else name
+        self.stacks[key] = self.stacks.get(key, 0.0) + self_time
         return elapsed
 
-    def phase(self, name: str) -> _Phase:
+    @contextmanager
+    def phase(self, name: str) -> Iterator[None]:
         """``with profiler.phase("name"):`` convenience around push/pop."""
-        return _Phase(self, name)
+        self.push(name)
+        try:
+            yield
+        finally:
+            self.pop()
 
     def count(self, name: str, amount: int = 1) -> None:
         """Bump the named event counter by ``amount``."""
@@ -177,20 +126,50 @@ class PerfProfiler:
         """Current phase-stack depth (0 outside any phase)."""
         return len(self._names)
 
+    # ------------------------------------------------------------- attaching
+    def attach(self, owner: type, attr: str, phase: Phase) -> None:
+        """Time every call of ``owner.attr`` as ``phase`` until :meth:`detach`.
+
+        Replaces the class attribute with a wrapper that pushes the phase
+        around the original.  ``phase`` is a name, or a function of the
+        call's arguments (``self`` included) returning one.  Only a plain
+        function the class defines itself can be attached: an inherited
+        method would be patched on the wrong class, and a static or class
+        method would lose its descriptor.
+
+        Attach before building the objects to profile: a bound method taken
+        at construction (a transport's receiver callback, say) keeps
+        calling what the class held at that time.
+        """
+        original = vars(owner).get(attr)
+        if not inspect.isfunction(original):
+            raise AttributeError(
+                f"{owner.__qualname__}.{attr} is not a function the class defines itself"
+            )
+        push, pop = self.push, self.pop
+
+        @functools.wraps(original)
+        def timed(*args: Any, **kwargs: Any) -> Any:
+            push(phase if isinstance(phase, str) else phase(*args, **kwargs))
+            try:
+                return original(*args, **kwargs)
+            finally:
+                pop()
+
+        self._attached.append((owner, attr, original))
+        setattr(owner, attr, timed)
+
+    def detach(self) -> None:
+        """Restore every attribute :meth:`attach` replaced, newest first."""
+        while self._attached:
+            owner, attr, original = self._attached.pop()
+            setattr(owner, attr, original)
+
     # --------------------------------------------------------------- export
     def collapsed_lines(self) -> List[str]:
-        """The collapsed-stack table as flamegraph-format lines.
-
-        One ``frame;frame;frame <microseconds>`` line per distinct stack,
-        sorted for determinism; zero-weight stacks are dropped (a renderer
-        would ignore them anyway).
-        """
-        out = []
-        for key in sorted(self.stacks):
-            weight = int(round(self.stacks[key] * _COLLAPSED_SCALE))
-            if weight > 0:
-                out.append(f"{key} {weight}")
-        return out
+        """The collapsed-stack table as flamegraph-format lines
+        (:func:`format_collapsed`)."""
+        return format_collapsed(self.stacks)
 
     def write_collapsed(self, path: str) -> int:
         """Write :meth:`collapsed_lines` to ``path``; returns the line count."""
@@ -211,50 +190,33 @@ class PerfProfiler:
             for name in sorted(self.phase_count)
         }
         return {
-            "enabled": self.enabled,
             "phases": phases,
             "counters": {k: self.counters[k] for k in sorted(self.counters)},
             "stacks": {k: self.stacks[k] for k in sorted(self.stacks)},
         }
 
 
-class NullProfiler(PerfProfiler):
-    """The disabled profiler: every operation is a no-op.
+def format_collapsed(stacks: Dict[str, float]) -> List[str]:
+    """Render a ``stack -> seconds`` table as flamegraph collapsed-stack lines.
 
-    ``enabled`` is ``False`` so guarded hot paths skip it entirely; call
-    sites that invoke it unconditionally pay one no-op method call and
-    allocate nothing (``phase`` hands back one shared, reusable context
-    manager).
+    One ``frame;frame;frame <microseconds>`` line per distinct stack,
+    sorted for determinism; stacks that round to zero microseconds are
+    dropped (a renderer would ignore them anyway).  Inverse of
+    :func:`parse_collapsed` up to that rounding.
     """
-
-    enabled: bool = False
-
-    def __init__(self) -> None:
-        super().__init__(registry=None, collect_stacks=False)
-        self._null_phase = _Phase(self, "")
-
-    def push(self, name: str) -> None:  # noqa: ARG002 - interface parity
-        return None
-
-    def pop(self) -> float:
-        return 0.0
-
-    def phase(self, name: str) -> _Phase:  # noqa: ARG002 - interface parity
-        return self._null_phase
-
-    def count(self, name: str, amount: int = 1) -> None:  # noqa: ARG002
-        return None
-
-
-#: Shared do-nothing profiler for unconditional call sites.
-NULL_PROFILER = NullProfiler()
+    out = []
+    for key in sorted(stacks):
+        weight = int(round(stacks[key] * _COLLAPSED_SCALE))
+        if weight > 0:
+            out.append(f"{key} {weight}")
+    return out
 
 
 def parse_collapsed(lines: Iterable[str]) -> Dict[str, float]:
     """Parse flamegraph collapsed-stack lines back to ``stack -> seconds``.
 
-    Inverse of :meth:`PerfProfiler.collapsed_lines` up to the integer
-    microsecond rounding the format imposes.
+    Inverse of :func:`format_collapsed` up to the integer microsecond
+    rounding the format imposes.
     """
     out: Dict[str, float] = {}
     for raw in lines:

@@ -50,7 +50,6 @@ from repro.recovery.lease_ttl import LeaseExpiry
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.mechanism import LeaseNode
     from repro.obs.metrics import MetricsRegistry
-    from repro.obs.perf import PerfProfiler
     from repro.sim.trace import TraceLog
 
 __all__ = ["RecoveryConfig", "RecoveryManager"]
@@ -101,9 +100,9 @@ class RecoveryManager:
         or re-key under the manager).
     config:
         The :class:`RecoveryConfig`.
-    trace / metrics / profiler:
-        The host's trace log (TTL renewal rides its subscription), metrics
-        registry and optional wall-clock profiler.
+    trace / metrics:
+        The host's trace log (TTL renewal rides its subscription) and
+        metrics registry.
     clock:
         The clock the nodes use; read once per sweep and once per emitted
         event (a ``serve`` process stamps every event with its own
@@ -126,7 +125,6 @@ class RecoveryManager:
         metrics: "MetricsRegistry",
         clock: Callable[[], float],
         is_down: Callable[[int], bool],
-        profiler: Optional["PerfProfiler"] = None,
     ) -> None:
         self.nodes = nodes
         self.config = config
@@ -134,7 +132,6 @@ class RecoveryManager:
         self.metrics = metrics
         self.clock = clock
         self.is_down = is_down
-        self.profiler = profiler
         self.store = CheckpointStore()
         ttl = config.lease_ttl
         if ttl is not None and not trace.enabled:
@@ -192,11 +189,8 @@ class RecoveryManager:
 
     # ----------------------------------------------------------- checkpoints
     def _checkpoint_tick(self) -> None:
-        prof = self.profiler
-        if prof is not None and prof.enabled:
-            with prof.phase("recovery.checkpoint"):
-                self.checkpoint_now()
-            return
+        # The scheduled tick, a method of its own so the benchmark tracer
+        # (benchmarks/suite/layers.py) can time it by name.
         self.checkpoint_now()
 
     def checkpoint_now(self) -> List[Checkpoint]:
@@ -246,11 +240,8 @@ class RecoveryManager:
 
     # ------------------------------------------------------------- lease TTL
     def _sweep_tick(self) -> None:
-        prof = self.profiler
-        if prof is not None and prof.enabled:
-            with prof.phase("recovery.sweep"):
-                self.sweep()
-            return
+        # The scheduled tick, a method of its own so the benchmark tracer
+        # (benchmarks/suite/layers.py) can time it by name.
         self.sweep()
 
     def sweep(self) -> None:

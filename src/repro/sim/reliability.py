@@ -211,7 +211,6 @@ class ReliableNetwork:
         stats: Optional[MessageStats] = None,
         trace: Optional[TraceLog] = None,
         metrics=None,
-        profiler=None,
         clock=None,
     ) -> None:
         self.tree = tree
@@ -228,10 +227,6 @@ class ReliableNetwork:
         #: Optional :class:`repro.obs.metrics.MetricsRegistry` receiving
         #: retransmit counters and reorder-buffer-depth gauges per edge.
         self.metrics = metrics
-        #: Optional wall-clock phase profiler (duck-typed, like
-        #: :attr:`repro.sim.scheduler.Simulator.profiler`): the retransmit
-        #: path runs inside a ``reliability.retransmit`` phase when enabled.
-        self.profiler = profiler
         self.summary = ReliabilitySummary()
         self.failures: List[DeliveryFailure] = []
         # The wire: lossy transport carrying Segment/Ack frames.  It gets a
@@ -413,35 +408,26 @@ class ReliableNetwork:
     # ---------------------------------------------------------- sender side
     def _transmit(self, edge: Edge, out: _Outgoing, first: bool) -> None:
         src, dst = edge
-        prof = self.profiler
-        profiled = prof is not None and prof.enabled and not first
-        if profiled:
-            prof.count("reliability.retransmits")
-            prof.push("reliability.retransmit")
-        try:
-            if first:
-                self.summary.segments_sent += 1
-            else:
-                self.summary.retransmits += 1
-                self.stats.record_overhead(src, dst, "retransmit")
-                if self.metrics is not None:
-                    self.metrics.counter("retransmits_total", src=src, dst=dst).inc()
-                self.trace.emit(
-                    self.clock.now, "retransmit", src,
-                    dst=dst, msg=out.message_kind, seq=out.seq, attempt=out.retries,
-                )
-            self.inner.send(
-                src, dst,
-                Segment(seq=out.seq, payload=out.payload, epoch=self._epoch[edge]),
+        if first:
+            self.summary.segments_sent += 1
+        else:
+            self.summary.retransmits += 1
+            self.stats.record_overhead(src, dst, "retransmit")
+            if self.metrics is not None:
+                self.metrics.counter("retransmits_total", src=src, dst=dst).inc()
+            self.trace.emit(
+                self.clock.now, "retransmit", src,
+                dst=dst, msg=out.message_kind, seq=out.seq, attempt=out.retries,
             )
-            out.timer.start(
-                out.timeout,
-                partial(self._on_timeout, edge, out),
-                label=f"rto {src}->{dst} #{out.seq}",
-            )
-        finally:
-            if profiled:
-                prof.pop()
+        self.inner.send(
+            src, dst,
+            Segment(seq=out.seq, payload=out.payload, epoch=self._epoch[edge]),
+        )
+        out.timer.start(
+            out.timeout,
+            partial(self._on_timeout, edge, out),
+            label=f"rto {src}->{dst} #{out.seq}",
+        )
 
     def _on_timeout(self, edge: Edge, out: _Outgoing) -> None:
         if self._unacked[edge].get(out.seq) is not out:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Tuple
 
 #: Subscriber callback signature: receives each event as it is emitted.
@@ -242,11 +243,18 @@ class TraceLog:
 
     def since(self, mark: int) -> List[TraceEvent]:
         """Events appended after the given :meth:`mark` cursor (retained
-        portion only, if the ring buffer evicted part of the window)."""
-        offset = max(0, mark - self._dropped)
-        if offset == 0:
-            return list(self._events)
-        return list(self._events)[offset:]
+        portion only, if the ring buffer evicted part of the window).
+
+        Copies only those events, not the whole retained log: the engines
+        call this once per combine, so a full copy would cost a traced run
+        time in proportion to its history.
+        """
+        count = self.total_emitted - mark
+        if count <= 0:
+            return []
+        tail = list(islice(reversed(self._events), count))
+        tail.reverse()
+        return tail
 
     def clear(self) -> None:
         """Drop all events and reset the eviction counter (subscribers stay)."""

@@ -64,8 +64,8 @@ _KIND_MODULES: Dict[str, str] = {"asyncio": "repro.net"}
 def register_transport_kind(kind: str, factory: Callable[..., Any]) -> None:
     """Register an external transport stack under ``kind``.
 
-    ``factory(config, tree, receiver, *, sim, seed, stats, trace, metrics,
-    profiler)`` must return an object implementing the shared transport
+    ``factory(config, tree, receiver, *, sim, seed, stats, trace, metrics)``
+    must return an object implementing the shared transport
     interface (``send`` / ``sender`` / ``is_quiescent`` / ``set_topology`` /
     ``stats`` / ``trace``).  Called by plugin packages at import time —
     :mod:`repro.net` registers ``"asyncio"``.
@@ -168,20 +168,6 @@ class TransportConfig:
         """Whether the stack runs under a :class:`Simulator` clock."""
         return not self.synchronous and self.kind == "builtin"
 
-    @property
-    def layers(self) -> "tuple[str, ...]":
-        """The stack bottom-up, for diagnostics and docs."""
-        if self.kind != "builtin":
-            return (self.kind,)
-        if self.synchronous:
-            return ("synchronous",)
-        stack = ["latency"]
-        if self.plan is not None or self.reliability is not None:
-            stack.append("faults")
-        if self.reliability is not None:
-            stack.append("reliable")
-        return tuple(stack)
-
 
 def build_transport(
     config: TransportConfig,
@@ -193,7 +179,6 @@ def build_transport(
     stats: Optional[MessageStats] = None,
     trace: Optional[TraceLog] = None,
     metrics: Any = None,
-    profiler: Any = None,
 ) -> Transport:
     """Assemble the transport stack described by ``config``.
 
@@ -211,9 +196,6 @@ def build_transport(
         Fallback RNG seed when ``config.seed`` is ``None``.
     stats / trace / metrics:
         Shared accounting objects threaded through every layer.
-    profiler:
-        Optional wall-clock phase profiler (duck-typed); currently only
-        the reliable layer's retransmit path consumes it.
     """
     transport_seed = config.seed if config.seed is not None else seed
     if config.kind != "builtin":
@@ -229,7 +211,7 @@ def build_transport(
         return factory(
             config, tree, receiver,
             sim=sim, seed=transport_seed, stats=stats, trace=trace,
-            metrics=metrics, profiler=profiler,
+            metrics=metrics,
         )
     if config.synchronous:
         return SynchronousNetwork(tree, receiver, stats=stats, trace=trace)
@@ -247,7 +229,6 @@ def build_transport(
             stats=stats,
             trace=trace,
             metrics=metrics,
-            profiler=profiler,
         )
     if config.plan is not None:
         return FaultyNetwork(

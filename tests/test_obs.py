@@ -128,6 +128,23 @@ class TestTraceLog:
         # so only the retained tail comes back.
         assert [ev.detail["i"] for ev in window] == [3, 4, 5]
 
+    @pytest.mark.parametrize("max_events", [None, 4])
+    def test_since_every_mark_against_the_retained_window(self, max_events):
+        """Event ``i`` is the ``i``-th emitted, so ``since(m)`` is exactly the
+        retained events with ``i >= m``: a mark older than the retained
+        window returns all of it, one at or past the end returns nothing."""
+        log = TraceLog(enabled=True, max_events=max_events)
+        marks = [log.mark()]
+        for i in range(10):
+            log.emit(float(i), "quiescent", -1, i=i)
+            marks.append(log.mark())
+        retained = [ev.detail["i"] for ev in log]
+        assert retained == list(range(10 - len(retained), 10))
+        assert len(retained) == (10 if max_events is None else max_events)
+        for mark in [-1] + marks + [11]:
+            window = [ev.detail["i"] for ev in log.since(mark)]
+            assert window == [i for i in retained if i >= mark], mark
+
     def test_subscribers_fire_and_unsubscribe(self):
         log = TraceLog(enabled=True)
         seen = []

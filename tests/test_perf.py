@@ -1,9 +1,9 @@
 """Tests for the performance-observability subsystem.
 
-Covers the wall-clock profiler (:mod:`repro.obs.perf`) — disabled-mode
-cost, nesting/self-time accounting, the collapsed-stack round trip, the
-metrics bridge — and the streaming cost meter (:mod:`repro.obs.costmeter`),
-which must agree exactly with the offline per-edge DP harness.
+Covers the wall-clock profiler (:mod:`repro.obs.perf`) — attach/detach,
+nesting/self-time accounting, the collapsed-stack round trip, the ``perf``
+CLI — and the streaming cost meter (:mod:`repro.obs.costmeter`), which must
+agree exactly with the offline per-edge DP harness.
 """
 
 from __future__ import annotations
@@ -13,15 +13,10 @@ import tracemalloc
 
 import pytest
 
+from repro.cli import PERF_ATTACH_POINTS, build_parser, main, run_perf_workload
 from repro.core.engine import AggregationSystem
 from repro.core.runtime import Router
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.perf import (
-    NULL_PROFILER,
-    NullProfiler,
-    PerfProfiler,
-    parse_collapsed,
-)
+from repro.obs.perf import PerfProfiler, parse_collapsed
 from repro.analysis.competitive import competitive_ratio
 from repro.offline import offline_lease_lower_bound
 from repro.tree.generators import binary_tree, path_tree, star_tree, two_node_tree
@@ -42,7 +37,12 @@ class FakeClock:
         return t
 
 
-# ------------------------------------------------------------ disabled mode
+def attach_perf_points(prof: PerfProfiler) -> None:
+    for owner, attr, phase in PERF_ATTACH_POINTS:
+        prof.attach(owner, attr, phase)
+
+
+# ------------------------------------------------------------ attach/detach
 class _SinkNode:
     """Minimal routing target: absorbs messages, allocates nothing."""
 
@@ -54,8 +54,14 @@ class _SinkNode:
 
 
 def test_disabled_dispatch_allocates_nothing():
-    """With no profiler attached, the router's per-message work is one
-    attribute load and a branch — zero allocations on the dispatch path."""
+    """Detach leaves the shipped dispatch behind: the router's per-message
+    work allocates nothing once the profiler is gone."""
+    original = Router.route
+    prof = PerfProfiler()
+    prof.attach(Router, "route", "dispatch")
+    assert Router.route is not original
+    prof.detach()
+    assert Router.route is original
     router = Router()
     router.add(_SinkNode(0))
     message = object()
@@ -73,32 +79,78 @@ def test_disabled_dispatch_allocates_nothing():
 
 
 def test_disabled_mode_adds_no_node_attributes():
-    """Profiling is attached at the router, never on the automata: node
-    instances carry no profiler attribute in either mode."""
+    """Profiling is attached to classes from outside, never to instances:
+    no node, engine or runtime carries a profiler attribute, attached or
+    not."""
     plain = AggregationSystem(binary_tree(2))
-    profiled = AggregationSystem(binary_tree(2), profiler=PerfProfiler())
+    prof = PerfProfiler()
+    attach_perf_points(prof)
+    try:
+        profiled = AggregationSystem(binary_tree(2))
+        profiled.run(uniform_workload(7, 10, read_ratio=0.5, seed=1))
+    finally:
+        prof.detach()
+    assert prof.phase_count  # the attached run was profiled
     for system in (plain, profiled):
+        assert not hasattr(system, "profiler")
+        assert not hasattr(system.runtime, "profiler")
         for node in system.nodes.values():
             assert not hasattr(node, "profiler")
             assert not hasattr(node, "prof")
-    # The plain engine holds no profiler and no cost meter at all.
-    assert plain.profiler is None
+    # The plain engine holds no cost meter either.
     assert plain.cost_meter is None
 
 
-def test_null_profiler_is_inert():
-    prof = NullProfiler()
-    assert not prof.enabled
-    prof.push("x")
-    assert prof.depth == 0
-    assert prof.pop() == 0.0
-    prof.count("x", 5)
-    with prof.phase("y"):
+def test_attach_refuses_what_the_class_does_not_define():
+    """Only a plain function of the class itself can be attached: an
+    inherited method would be patched on the wrong class, a class method
+    would lose its binding."""
+
+    class Base:
+        def inherited(self) -> int:
+            return 1
+
+        @classmethod
+        def made(cls) -> "Base":
+            return cls()
+
+    class Child(Base):
         pass
-    assert prof.phase("a") is prof.phase("b")  # one shared context manager
-    assert prof.snapshot()["phases"] == {}
-    assert prof.counters == {}
-    assert NULL_PROFILER.enabled is False
+
+    prof = PerfProfiler()
+    for owner, attr in ((Child, "inherited"), (Base, "made"), (Base, "missing")):
+        with pytest.raises(AttributeError):
+            prof.attach(owner, attr, "x")
+    assert "inherited" not in vars(Child)
+    assert isinstance(vars(Base)["made"], classmethod)
+
+
+def test_attach_times_calls_until_detach():
+    """The wrapper returns the original's result, names the phase from the
+    call's arguments when asked to, pops the phase when the call raises,
+    and detach restores every original, newest first."""
+
+    class Box:
+        def get(self, key: str) -> str:
+            if key == "bad":
+                raise KeyError(key)
+            return key.upper()
+
+    original = Box.get
+    prof = PerfProfiler(clock=FakeClock())
+    prof.attach(Box, "get", lambda self, key: "get." + key)
+    prof.attach(Box, "get", "outer")  # attaching twice nests
+    box = Box()
+    assert box.get("a") == "A"
+    with pytest.raises(KeyError):
+        box.get("bad")
+    assert prof.depth == 0
+    assert prof.phase_count == {"outer": 2, "get.a": 1, "get.bad": 1}
+    assert set(prof.stacks) == {"outer", "outer;get.a", "outer;get.bad"}
+    prof.detach()
+    assert Box.get is original
+    assert box.get("b") == "B"
+    assert prof.phase_count["outer"] == 2  # nothing recorded after detach
 
 
 # ---------------------------------------------------------------- accounting
@@ -134,18 +186,6 @@ def test_phase_counts_and_counters():
     assert prof.phase_count["p"] == 3
     assert prof.counters["events"] == 5
     assert prof.depth == 0
-
-
-def test_metrics_bridge_observes_phase_durations():
-    registry = MetricsRegistry()
-    prof = PerfProfiler(registry=registry, clock=FakeClock(step=0.01))
-    with prof.phase("work"):
-        pass
-    hists = registry.histogram_values("perf_phase_seconds")
-    assert len(hists) == 1
-    ((labels, hist),) = hists.items()
-    assert dict(labels)["phase"] == "work"
-    assert hist.count == 1
 
 
 def test_snapshot_is_json_safe_and_sorted():
@@ -197,16 +237,59 @@ def test_parse_collapsed_rejects_malformed():
 
 def test_profiled_run_records_mechanism_phases():
     prof = PerfProfiler()
-    system = AggregationSystem(binary_tree(2), profiler=prof)
-    wl = uniform_workload(7, 30, read_ratio=0.5, seed=1)
-    result = system.run(copy_sequence(wl))
-    assert prof.counters["messages_routed"] == result.total_messages
+    attach_perf_points(prof)
+    try:
+        system = AggregationSystem(binary_tree(2))
+        wl = uniform_workload(7, 30, read_ratio=0.5, seed=1)
+        result = system.run(copy_sequence(wl))
+    finally:
+        prof.detach()
     assert sum(
         prof.phase_count[p] for p in prof.phase_count if p.startswith("mechanism.")
     ) == result.total_messages
     # Round trip through the on-disk format preserves every stack key.
     parsed = parse_collapsed(prof.collapsed_lines())
     assert set(parsed) <= set(prof.stacks)
+
+
+# ------------------------------------------------------------------ perf CLI
+def test_perf_cli_record_report_flame_compare(tmp_path, monkeypatch):
+    """``perf record`` in both modes, then ``report``, ``flame --out`` and
+    ``compare`` of a profile against itself.  Every routed message lands in
+    one ``mechanism.*`` phase, the chaos counters are those of the same run
+    unprofiled, and every attached attribute is the original afterwards."""
+    monkeypatch.chdir(tmp_path)
+    originals = [(owner, attr, vars(owner)[attr]) for owner, attr, _ in PERF_ATTACH_POINTS]
+    record = ["perf", "record", "--length", "200", "--seed", "7", "--mode"]
+    mechanism = {}
+    for mode in ("seq", "chaos"):
+        assert main(record + [mode, "--out", f"{mode}.json"]) == 0
+        for owner, attr, original in originals:
+            assert vars(owner)[attr] is original, (mode, attr)
+        data = json.loads((tmp_path / f"{mode}.json").read_text())
+        mechanism[mode] = {
+            name: p["count"] for name, p in data["phases"].items()
+            if name.startswith("mechanism.")
+        }
+        assert data["counters"]["messages_routed"] == data["run"]["messages"]
+        assert data["run"]["messages"] == sum(mechanism[mode].values())
+    # Requests 600 time units apart each finish before the next starts, and
+    # the reliable layer hides every fault: the chaos run sends exactly
+    # what the sequential one does.
+    assert mechanism["chaos"] == mechanism["seq"]
+
+    system, result = run_perf_workload(build_parser().parse_args(record + ["chaos", "--out", "-"]))
+    assert result.total_messages == data["run"]["messages"]
+    assert data["counters"]["sim.events"] == system.sim.events_processed
+    assert data["counters"]["reliability.retransmits"] == system.network.summary.retransmits
+    assert data["counters"]["reliability.retransmits"] > 0
+    assert data["phases"]["reliability.timeout"]["count"] > 0
+    assert data["phases"]["faults.deliver"]["count"] > 0
+
+    assert main(["perf", "report", "chaos.json"]) == 0
+    assert main(["perf", "flame", "chaos.json", "--out", "flame.txt"]) == 0
+    assert (tmp_path / "flame.txt").read_text() == (tmp_path / "chaos.json.collapsed").read_text()
+    assert main(["perf", "compare", "chaos.json", "chaos.json"]) == 0
 
 
 # ----------------------------------------------------------------- cost meter
