@@ -24,7 +24,7 @@ cross-check of both the model and the simulator, and a planning tool
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict
 
 import numpy as np
 

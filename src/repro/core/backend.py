@@ -272,7 +272,6 @@ def build_backend(
     ghost: bool = False,
     trace_enabled: bool = False,
     metrics: Any = None,
-    trace_max_events: Optional[int] = None,
     seed: int = 0,
     node_cls: Any = None,
     recovery: Any = None,
@@ -341,7 +340,6 @@ def build_backend(
         ghost=ghost,
         trace_enabled=trace_enabled,
         metrics=metrics,
-        trace_max_events=trace_max_events,
         seed=seed,
         node_cls=node_cls,
         recovery=recovery,

@@ -269,8 +269,6 @@ class AggregationSystem(_RuntimeDriver):
     metrics:
         Share an existing :class:`~repro.obs.metrics.MetricsRegistry`
         (default: a fresh one per engine).
-    trace_max_events:
-        Ring-buffer cap for the trace (default unbounded).
     transport:
         Transport-stack description (default: the synchronous FIFO queue).
         A simulated stack also works: each request then drains the event
@@ -310,7 +308,6 @@ class AggregationSystem(_RuntimeDriver):
         ghost: bool = False,
         trace_enabled: bool = False,
         metrics: Optional[MetricsRegistry] = None,
-        trace_max_events: Optional[int] = None,
         transport: Optional[TransportConfig] = None,
         seed: int = 0,
         recovery: Optional[Any] = None,
@@ -326,7 +323,6 @@ class AggregationSystem(_RuntimeDriver):
             ghost=ghost,
             trace_enabled=trace_enabled,
             metrics=metrics,
-            trace_max_events=trace_max_events,
             seed=seed,
             recovery=recovery,
             cost_accounting=cost_accounting,
@@ -413,7 +409,6 @@ class ConcurrentAggregationSystem(_RuntimeDriver):
         trace_enabled: bool = False,
         reliability: Optional[ReliabilityConfig] = None,
         metrics: Optional[MetricsRegistry] = None,
-        trace_max_events: Optional[int] = None,
         transport: Optional[TransportConfig] = None,
         recovery: Optional[Any] = None,
         cost_accounting: bool = False,
@@ -434,7 +429,6 @@ class ConcurrentAggregationSystem(_RuntimeDriver):
             ghost=ghost,
             trace_enabled=trace_enabled,
             metrics=metrics,
-            trace_max_events=trace_max_events,
             seed=seed,
             recovery=recovery,
             cost_accounting=cost_accounting,
@@ -551,7 +545,7 @@ class ConcurrentAggregationSystem(_RuntimeDriver):
                         rt.now, "combine_timeout", q.node, deadline=deadline_at
                     )
 
-                rt.sim.schedule(deadline, watchdog, label=f"watchdog node {request.node}")
+                rt.sim.schedule(deadline, watchdog)
             rt.submit_combine(request, done)
         else:
             raise ValueError(f"cannot execute op {request.op!r}")
@@ -583,11 +577,7 @@ class ConcurrentAggregationSystem(_RuntimeDriver):
         """
         rt = self.runtime
         for item in schedule:
-            rt.sim.schedule_at(
-                item.time,
-                lambda q=item.request: self._initiate(q),
-                label=f"initiate node {item.request.node}",
-            )
+            rt.sim.schedule_at(item.time, lambda q=item.request: self._initiate(q))
         rt.sim.run()
         if self._outstanding:
             raise RuntimeError(f"{self._outstanding} combine(s) never completed")
@@ -692,11 +682,7 @@ def run_with_faults(system: ConcurrentAggregationSystem, schedule):
     legitimately returned ``None`` (they also keep ``q.index == -1``).
     """
     for item in schedule:
-        system.sim.schedule_at(
-            item.time,
-            lambda q=item.request: system._initiate(q),
-            label=f"initiate node {item.request.node}",
-        )
+        system.sim.schedule_at(item.time, lambda q=item.request: system._initiate(q))
     system.sim.run()
     hung = [q for q in system.executed if q.op == COMBINE and q.index < 0 and not q.failed]
     for q in hung:

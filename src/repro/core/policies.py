@@ -44,7 +44,7 @@ their own bookkeeping — the mechanism owns the protocol state.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict
+from typing import TYPE_CHECKING, Dict, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.mechanism import LeaseNode
@@ -228,6 +228,10 @@ class ABPolicy(LeasePolicy):
         self.lt: Dict[int, int] = {}
         self.cc: Dict[int, int] = {}
 
+    def _ab(self, v: int) -> Tuple[int, int]:
+        """The (grant, break) parameters for the edge toward neighbor ``v``."""
+        return self.a, self.b
+
     def bind(self, node: "LeaseNode") -> None:
         self.lt = {v: 0 for v in node.nbrs}
         self.cc = {v: 0 for v in node.nbrs}
@@ -236,7 +240,7 @@ class ABPolicy(LeasePolicy):
     def on_combine(self, node: "LeaseNode") -> None:
         # A combine here refreshes every taken lease's write tolerance.
         for v in node.tkn():
-            self.lt[v] = self.b
+            self.lt[v] = self._ab(v)[1]
 
     def on_write(self, node: "LeaseNode") -> None:
         # A local write is a write in σ(u, v) for every neighbor v: it
@@ -250,12 +254,12 @@ class ABPolicy(LeasePolicy):
         self.cc[w] += 1
         for v in node.tkn():
             if v != w:
-                self.lt[v] = self.b
+                self.lt[v] = self._ab(v)[1]
                 self.cc[v] = 0
 
     def response_rcvd(self, node: "LeaseNode", flag: bool, w: int) -> None:
         if flag:
-            self.lt[w] = self.b
+            self.lt[w] = self._ab(w)[1]
 
     def update_rcvd(self, node: "LeaseNode", w: int) -> None:
         if node.isgoodforrelease(w):
@@ -268,7 +272,7 @@ class ABPolicy(LeasePolicy):
 
     # ------------------------------------------------------------- decisions
     def set_lease(self, node: "LeaseNode", w: int) -> bool:
-        if self.cc[w] >= self.a:
+        if self.cc[w] >= self._ab(w)[0]:
             self.cc[w] = 0
             return True
         return False
@@ -323,7 +327,7 @@ class WriteOncePolicy(ABPolicy):
         super().__init__(1, 1)
 
 
-class HeterogeneousABPolicy(LeasePolicy):
+class HeterogeneousABPolicy(ABPolicy):
     """Per-neighbor (a, b) parameters — SDIMS-style per-edge tuning.
 
     SDIMS exposes update-propagation aggressiveness as a per-attribute,
@@ -332,6 +336,12 @@ class HeterogeneousABPolicy(LeasePolicy):
     (falling back to ``default``).  A node can thus treat a read-hot
     subtree with ``(1, 8)`` (push eagerly, tolerate writes) and a
     write-hot one with ``(2, 1)`` (grant reluctantly, break fast).
+
+    Every hook is :class:`ABPolicy`'s, reading the edge's parameters
+    through :meth:`_ab`.  ``__init__`` does not call
+    ``ABPolicy.__init__``: the state is ``params``, ``default`` and the
+    ``lt``/``cc`` counters, with no ``a``/``b``, so snapshots hold only
+    what the policy uses.
 
     Parameters
     ----------
@@ -351,59 +361,8 @@ class HeterogeneousABPolicy(LeasePolicy):
         self.lt: Dict[int, int] = {}
         self.cc: Dict[int, int] = {}
 
-    def _ab(self, v: int) -> "tuple[int, int]":
+    def _ab(self, v: int) -> Tuple[int, int]:
         return self.params.get(v, self.default)
-
-    def bind(self, node: "LeaseNode") -> None:
-        self.lt = {v: 0 for v in node.nbrs}
-        self.cc = {v: 0 for v in node.nbrs}
-
-    def on_combine(self, node: "LeaseNode") -> None:
-        for v in node.tkn():
-            self.lt[v] = self._ab(v)[1]
-
-    def on_write(self, node: "LeaseNode") -> None:
-        for v in node.nbrs:
-            self.cc[v] = 0
-
-    def probe_rcvd(self, node: "LeaseNode", w: int) -> None:
-        self.cc[w] += 1
-        for v in node.tkn():
-            if v != w:
-                self.lt[v] = self._ab(v)[1]
-                self.cc[v] = 0
-
-    def response_rcvd(self, node: "LeaseNode", flag: bool, w: int) -> None:
-        if flag:
-            self.lt[w] = self._ab(w)[1]
-
-    def update_rcvd(self, node: "LeaseNode", w: int) -> None:
-        if node.isgoodforrelease(w):
-            self.lt[w] -= 1
-        for v in node.nbrs:
-            if v != w:
-                self.cc[v] = 0
-
-    def set_lease(self, node: "LeaseNode", w: int) -> bool:
-        if self.cc[w] >= self._ab(w)[0]:
-            self.cc[w] = 0
-            return True
-        return False
-
-    def break_lease(self, node: "LeaseNode", v: int) -> bool:
-        return self.lt[v] <= 0
-
-    def release_policy(self, node: "LeaseNode", v: int) -> None:
-        self.lt[v] = self.lt[v] - len(node.uaw[v])
-
-    def neighbor_attached(self, node: "LeaseNode", v: int) -> None:
-        self.lt[v] = 0
-        self.cc[v] = 0
-
-    def neighbor_detached(self, node: "LeaseNode", v: int) -> None:
-        self.lt.pop(v, None)
-        self.cc.pop(v, None)
-
 
 __all__ = [
     "LeasePolicy",

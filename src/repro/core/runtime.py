@@ -20,8 +20,8 @@ The layering (see DESIGN.md):
                  quiescence checking)
     policy       LeasePolicy (RWW, (a,b), ...)   [inside each LeaseNode]
     transport    build_transport(TransportConfig):
-                 SynchronousNetwork | Network -> FaultyNetwork
-                 -> ReliableNetwork
+                 SynchronousNetwork | FaultyNetwork
+                 | ReliableNetwork over FaultyNetwork
     telemetry    TraceLog / MetricsRegistry / RequestSpan  (threaded
                  through every layer above)
 
@@ -137,8 +137,6 @@ class NodeRuntime(RuntimeTelemetry):
         Record structured trace events (also feeds the metrics bridge).
     metrics:
         Share an existing registry (default: a fresh one).
-    trace_max_events:
-        Ring-buffer cap for the trace (default unbounded).
     seed:
         Engine seed; the transport inherits it unless its config pins one.
     node_cls:
@@ -161,7 +159,6 @@ class NodeRuntime(RuntimeTelemetry):
         ghost: bool = False,
         trace_enabled: bool = False,
         metrics: Optional[MetricsRegistry] = None,
-        trace_max_events: Optional[int] = None,
         seed: int = 0,
         node_cls: Type[LeaseNode] = LeaseNode,
         recovery: Optional[Any] = None,
@@ -172,7 +169,7 @@ class NodeRuntime(RuntimeTelemetry):
         self.op = op
         self.policy_factory = policy_factory
         self.config = transport if transport is not None else TransportConfig()
-        self.trace = TraceLog(enabled=trace_enabled, max_events=trace_max_events)
+        self.trace = TraceLog(enabled=trace_enabled)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.spans: List[RequestSpan] = []
         if trace_enabled:
@@ -244,12 +241,12 @@ class NodeRuntime(RuntimeTelemetry):
         horizon = rec.horizon(max((ev.time for ev in events), default=None))
         t = rec.config.checkpoint_interval
         while t <= horizon:
-            sim.schedule_at(t, rec._checkpoint_tick, label="checkpoint tick")
+            sim.schedule_at(t, rec._checkpoint_tick)
             t += rec.config.checkpoint_interval
         if rec.expiry is not None:
             t = rec.sweep_interval
             while t <= horizon:
-                sim.schedule_at(t, rec._sweep_tick, label="lease-ttl sweep")
+                sim.schedule_at(t, rec._sweep_tick)
                 t += rec.sweep_interval
 
     # ------------------------------------------------------------------ nodes
@@ -393,7 +390,7 @@ class NodeRuntime(RuntimeTelemetry):
         if not hasattr(self.network, "crash_node"):
             raise RuntimeError(
                 "this transport does not support crash faults (needs the "
-                "synchronous, faulty or reliable stack)"
+                "synchronous stack or a simulated one)"
             )
         if self.recovery is not None:
             self.recovery.handle_crash(node_id)

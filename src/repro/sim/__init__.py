@@ -6,12 +6,15 @@ message accounting plus two execution models:
 
 * **Sequential executions** (Section 2's quiescent-state model): each request
   runs to quiescence before the next is initiated.  The sequential engine in
-  :mod:`repro.core.engine` drives nodes directly with a synchronous message
-  queue built on :class:`~repro.sim.network.Network`.
+  :mod:`repro.core.engine` drives nodes over the zero-latency global FIFO
+  queue of :class:`~repro.sim.network.SynchronousNetwork`.
 * **Concurrent executions** (Section 5): requests overlap in time.  The
   :class:`~repro.sim.scheduler.Simulator` provides a virtual clock and an
-  event heap; :class:`~repro.sim.channel.FifoChannel` delivers messages with
-  (optionally random) latency while enforcing FIFO order per directed edge.
+  event heap; the wire, :class:`~repro.sim.faults.FaultyNetwork`, delivers
+  messages with (optionally random) latency while enforcing FIFO order per
+  directed edge, and injects the faults of its plan (none by default).
+  :class:`~repro.sim.reliability.ReliableNetwork` heals a lossy wire, and
+  :func:`~repro.sim.transport.build_transport` assembles the stack.
 
 :class:`~repro.sim.stats.MessageStats` counts messages per directed edge and
 per message type — the exact quantities in the paper's cost decomposition
@@ -21,8 +24,8 @@ events for debugging and for the consistency checkers.
 
 from repro.sim.events import Event, EventQueue
 from repro.sim.scheduler import Simulator, Timer
-from repro.sim.channel import FifoChannel, LatencyModel, constant_latency, uniform_latency
-from repro.sim.network import Network, SynchronousNetwork
+from repro.sim.channel import LatencyModel, constant_latency, uniform_latency
+from repro.sim.network import SynchronousNetwork
 from repro.sim.faults import FaultLog, FaultPlan, FaultyNetwork
 from repro.sim.reliability import (
     DeliveryFailure,
@@ -39,11 +42,9 @@ __all__ = [
     "EventQueue",
     "Simulator",
     "Timer",
-    "FifoChannel",
     "LatencyModel",
     "constant_latency",
     "uniform_latency",
-    "Network",
     "SynchronousNetwork",
     "FaultLog",
     "FaultPlan",

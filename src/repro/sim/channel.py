@@ -1,20 +1,18 @@
-"""Reliable FIFO channels with pluggable latency.
+"""Latency models for the simulated wire.
 
 Section 2 assumes *reliable FIFO communication channels between neighboring
-nodes*.  :class:`FifoChannel` models one **directed** edge: messages are
-delivered exactly once, in send order.  With a random latency model, FIFO
-order is enforced by clamping each delivery time to be no earlier than the
-previous one on the same channel (the standard trick for FIFO links over
-i.i.d. delays).
+nodes*; Section 5 lets messages take time.  A :data:`LatencyModel` draws
+one message's delay on a directed edge.  The wire
+(:class:`~repro.sim.faults.FaultyNetwork`) gives each directed edge its own
+random stream and keeps FIFO order by clamping each delivery time to be no
+earlier than the previous one on the same edge (the standard trick for
+FIFO links over i.i.d. delays).
 """
 
 from __future__ import annotations
 
 import random
-from functools import partial
-from typing import Any, Callable, Optional
-
-from repro.sim.scheduler import Simulator
+from typing import Callable
 
 #: A latency model maps (src, dst, rng) -> a non-negative delay sample.
 LatencyModel = Callable[[int, int, random.Random], float]
@@ -39,64 +37,3 @@ def exponential_latency(mean: float) -> LatencyModel:
     if mean <= 0:
         raise ValueError(f"mean must be positive, got {mean}")
     return lambda _src, _dst, rng: rng.expovariate(1.0 / mean)
-
-
-class FifoChannel:
-    """One directed reliable FIFO link ``src -> dst``.
-
-    Parameters
-    ----------
-    sim:
-        The simulator supplying the clock and event queue.
-    src, dst:
-        Endpoint node ids (for latency models and traces).
-    deliver:
-        Callback invoked as ``deliver(payload)`` at the delivery time.
-    latency:
-        A :data:`LatencyModel`; defaults to constant 1.
-    rng:
-        Random source for the latency model.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        src: int,
-        dst: int,
-        deliver: Callable[[Any], None],
-        latency: Optional[LatencyModel] = None,
-        rng: Optional[random.Random] = None,
-    ) -> None:
-        self.sim = sim
-        self.src = src
-        self.dst = dst
-        self._deliver = deliver
-        self._latency = latency if latency is not None else constant_latency(1.0)
-        self._rng = rng if rng is not None else random.Random(0)
-        self._last_delivery = 0.0
-        self.sent = 0
-        self.delivered = 0
-
-    @property
-    def in_flight(self) -> int:
-        """Messages sent but not yet delivered."""
-        return self.sent - self.delivered
-
-    def send(self, payload: Any) -> float:
-        """Enqueue ``payload``; returns its (FIFO-clamped) delivery time."""
-        delay = self._latency(self.src, self.dst, self._rng)
-        if delay < 0:
-            raise ValueError(f"latency model returned negative delay {delay}")
-        t = max(self.sim.now + delay, self._last_delivery)
-        self._last_delivery = t
-        self.sent += 1
-        # Bound-method partial (not a closure) so a deep-copied simulator
-        # heap delivers into the cloned channel, not the original.
-        self.sim.schedule_at(
-            t, partial(self._fire, payload), label=f"deliver {self.src}->{self.dst}"
-        )
-        return t
-
-    def _fire(self, payload: Any) -> None:
-        self.delivered += 1
-        self._deliver(payload)

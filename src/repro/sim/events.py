@@ -30,15 +30,12 @@ class Event:
         Zero-argument callable executed when the event fires.
     cancelled:
         Cancelled events are skipped when popped.
-    label:
-        Optional human-readable label for traces.
     """
 
     time: float
     seq: int
     action: Callable[[], None] = field(compare=False)
     cancelled: bool = field(default=False, compare=False)
-    label: str = field(default="", compare=False)
 
     def cancel(self) -> None:
         """Mark this event so the queue skips it."""
@@ -58,12 +55,12 @@ class EventQueue:
     def __bool__(self) -> bool:
         return len(self) > 0
 
-    def push(self, time: float, action: Callable[[], None], label: str = "") -> Event:
+    def push(self, time: float, action: Callable[[], None]) -> Event:
         """Schedule ``action`` at ``time``; returns the (cancellable) event."""
         if time < 0:
             raise ValueError(f"event time must be non-negative, got {time}")
         seq = next(self._counter)
-        ev = Event(time=time, seq=seq, action=action, label=label)
+        ev = Event(time=time, seq=seq, action=action)
         heapq.heappush(self._heap, (time, seq, ev))
         return ev
 

@@ -1,10 +1,17 @@
-"""Fault injection for the concurrent network substrate.
+"""The simulated wire of the concurrent model, with fault injection.
+
+:class:`FaultyNetwork` moves messages along directed tree edges under a
+:class:`~repro.sim.scheduler.Simulator` clock.  Each directed edge draws
+its delays from its own random stream (a
+:data:`~repro.sim.channel.LatencyModel`) and clamps each delivery time to
+be no earlier than the previous one on that edge, so under the default,
+faultless :class:`FaultPlan` every edge is the reliable FIFO channel with
+latency of Section 5.
 
 The paper's model assumes *reliable FIFO* channels and permanently-live
 nodes; every guarantee (strict consistency, causal consistency, the
-message-count lemmas) is proven under those assumptions.
-:class:`FaultyNetwork` makes them testable by injecting three classic
-link faults:
+message-count lemmas) is proven under those assumptions.  A fault plan
+makes them testable by injecting three classic link faults:
 
 * **drop** — a message silently vanishes;
 * **duplicate** — a message is delivered twice;
@@ -41,7 +48,7 @@ the assumptions and that the consistency checkers *detect* the fallout.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
@@ -227,11 +234,13 @@ FaultListener = Callable[[ScheduledFault], None]
 
 
 class FaultyNetwork:
-    """A latency-ful transport with injected and scheduled faults.
+    """The latency-ful transport, with injected and scheduled faults.
 
-    Drop-in replacement for :class:`repro.sim.network.Network` (same
-    ``send`` interface, same stats accounting: duplicates count as extra
-    deliveries, drops still count as sends — the sender paid for them).
+    Every send is counted in ``stats`` and traced as ``send``; every
+    delivery is traced as ``recv``.  Duplicates count as extra deliveries,
+    and drops still count as sends — the sender paid for them.  ``plan``
+    defaults to a faultless :class:`FaultPlan`: every message is then
+    delivered once, in per-edge FIFO order.
 
     Scheduled faults from ``plan.events`` are applied at their virtual
     times: crashed nodes and partitioned edges black-hole traffic at both
@@ -246,7 +255,7 @@ class FaultyNetwork:
         tree: Tree,
         sim: Simulator,
         receiver: Receiver,
-        plan: FaultPlan,
+        plan: Optional[FaultPlan] = None,
         latency: Optional[LatencyModel] = None,
         seed: int = 0,
         stats: Optional[MessageStats] = None,
@@ -255,7 +264,7 @@ class FaultyNetwork:
         self.tree = tree
         self.sim = sim
         self._receiver = receiver
-        self.plan = plan
+        self.plan = plan if plan is not None else FaultPlan()
         self.stats = stats if stats is not None else MessageStats()
         self.trace = trace if trace is not None else TraceLog(enabled=False)
         self.faults = FaultLog()
@@ -266,17 +275,13 @@ class FaultyNetwork:
         for edge in tree.directed_edges():
             self._lat_rng[edge] = random.Random(self._master_rng.getrandbits(64))
             self._last_delivery[edge] = 0.0
-        self._fault_rng = random.Random(plan.seed)
+        self._fault_rng = random.Random(self.plan.seed)
         self._in_flight = 0
         self.crashed: Set[int] = set()
         self._cut: Set[Tuple[int, int]] = set()  # directed black-holed edges
         self._fault_listeners: List[FaultListener] = []
-        for ev in plan.events:
-            sim.schedule_at(
-                ev.time,
-                partial(self._apply_fault, ev),
-                label=f"fault {ev.kind}",
-            )
+        for ev in self.plan.events:
+            sim.schedule_at(ev.time, partial(self._apply_fault, ev))
 
     # ------------------------------------------------------ scheduled faults
     def add_fault_listener(self, fn: FaultListener) -> FaultListener:
@@ -375,16 +380,14 @@ class FaultyNetwork:
                 # for (see class docstring) — count it like any other send.
                 self.stats.record(src, dst, kind)
             delay = self._latency(src, dst, self._lat_rng[edge])
+            if delay < 0:
+                raise ValueError(f"latency model returned negative delay {delay}")
             t = self.sim.now + delay
             if fate != "reorder":
                 t = max(t, self._last_delivery[edge])
                 self._last_delivery[edge] = t
             self._in_flight += 1
-            self.sim.schedule_at(
-                t,
-                partial(self._deliver, message, src, dst, kind),
-                label=f"faulty {src}->{dst}",
-            )
+            self.sim.schedule_at(t, partial(self._deliver, message, src, dst, kind))
 
     def _deliver(self, message: Any, src: int, dst: int, kind: str) -> None:
         self._in_flight -= 1
@@ -401,12 +404,6 @@ class FaultyNetwork:
 
     def is_quiescent(self) -> bool:
         return self._in_flight == 0
-
-    def sender(self, src: int, dst: int):
-        """A precomputed send callable for the directed edge ``src -> dst``."""
-        if (src, dst) not in self._lat_rng:
-            raise ValueError(f"({src}, {dst}) is not a tree edge")
-        return partial(self.send, src, dst)
 
     def set_topology(self, tree: Tree) -> None:
         """Swap the tree under the transport (dynamic attach/detach/rename).

@@ -1,28 +1,21 @@
-"""Message transports binding a tree topology to delivery semantics.
+"""The zero-latency transport of the sequential model (Section 2).
 
-Two transports share one interface (``send(src, dst, message)`` plus message
-accounting) so the same node automaton runs under both execution models:
+:class:`SynchronousNetwork` puts messages into one global FIFO queue;
+:meth:`SynchronousNetwork.run_to_quiescence` drains it, which realizes the
+paper's quiescent-state semantics exactly (global FIFO trivially preserves
+per-channel FIFO).  Every send must travel along a tree edge.
 
-* :class:`SynchronousNetwork` — the sequential model of Section 2.  Messages
-  go into a global FIFO queue; :meth:`SynchronousNetwork.run_to_quiescence`
-  drains it, which realizes the paper's quiescent-state semantics exactly
-  (global FIFO trivially preserves per-channel FIFO).
-* :class:`Network` — the concurrent model of Section 5.  One
-  :class:`~repro.sim.channel.FifoChannel` per directed edge delivers with
-  latency under a :class:`~repro.sim.scheduler.Simulator` clock.
-
-Both transports validate that every send travels along a tree edge.
+The concurrent model of Section 5 runs on the latency-ful wire,
+:class:`~repro.sim.faults.FaultyNetwork`; with no faults planned it is a
+reliable FIFO channel with latency on every directed edge.
+:func:`~repro.sim.transport.build_transport` picks the transport.
 """
 
 from __future__ import annotations
 
-import random
 from collections import deque
-from functools import partial
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
-from repro.sim.channel import FifoChannel, LatencyModel, constant_latency
-from repro.sim.scheduler import Simulator
 from repro.sim.stats import MessageStats
 from repro.sim.trace import TraceLog
 from repro.tree.topology import Tree
@@ -182,16 +175,6 @@ class SynchronousNetwork:
             snap += (("crashed", tuple(sorted(self.crashed))),)
         return snap
 
-    def sender(self, src: int, dst: int) -> Callable[[Any], None]:
-        """A precomputed send callable for the directed edge ``src -> dst``.
-
-        Nodes bind one of these per neighbor instead of allocating a
-        closure per send (see :class:`repro.core.mechanism.LeaseNode`).
-        """
-        if not self.tree.has_edge(src, dst):
-            raise ValueError(f"({src}, {dst}) is not a tree edge")
-        return partial(self.send, src, dst)
-
     def set_topology(self, tree: Tree) -> None:
         """Swap the tree under the transport (dynamic attach/detach/rename).
 
@@ -202,87 +185,3 @@ class SynchronousNetwork:
             raise RuntimeError("cannot change topology with messages queued")
         self.tree = tree
 
-
-class Network:
-    """Latency-ful transport: one FIFO channel per directed tree edge."""
-
-    def __init__(
-        self,
-        tree: Tree,
-        sim: Simulator,
-        receiver: Receiver,
-        latency: Optional[LatencyModel] = None,
-        seed: int = 0,
-        stats: Optional[MessageStats] = None,
-        trace: Optional[TraceLog] = None,
-    ) -> None:
-        self.tree = tree
-        self.sim = sim
-        self._receiver = receiver
-        self.stats = stats if stats is not None else MessageStats()
-        self.trace = trace if trace is not None else TraceLog(enabled=False)
-        self._latency = latency if latency is not None else constant_latency(1.0)
-        self._master_rng = random.Random(seed)
-        self._channels: Dict[Tuple[int, int], FifoChannel] = {}
-        for u, v in tree.directed_edges():
-            self._add_channel(u, v)
-
-    def _add_channel(self, u: int, v: int) -> None:
-        # Each directed channel gets its own derived RNG stream so the
-        # latency draws on one edge never perturb another edge's stream.
-        ch_rng = random.Random(self._master_rng.getrandbits(64))
-        self._channels[(u, v)] = FifoChannel(
-            self.sim,
-            u,
-            v,
-            deliver=partial(self._deliver, u, v),
-            latency=self._latency,
-            rng=ch_rng,
-        )
-
-    def _deliver(self, src: int, dst: int, message: Any) -> None:
-        kind = getattr(message, "kind", type(message).__name__.lower())
-        self.trace.emit(self.sim.now, "recv", dst, src=src, msg=kind)
-        self._receiver(src, dst, message)
-
-    def send(self, src: int, dst: int, message: Any) -> None:
-        """Send ``message`` on the directed channel ``src -> dst``."""
-        channel = self._channels.get((src, dst))
-        if channel is None:
-            raise ValueError(f"({src}, {dst}) is not a tree edge; cannot send")
-        kind = getattr(message, "kind", type(message).__name__.lower())
-        self.stats.record(src, dst, kind)
-        self.trace.emit(self.sim.now, "send", src, dst=dst, msg=kind)
-        channel.send(message)
-
-    def in_flight(self) -> int:
-        """Total messages currently in transit across all channels."""
-        return sum(ch.in_flight for ch in self._channels.values())
-
-    def is_quiescent(self) -> bool:
-        """True when no message is in transit."""
-        return self.in_flight() == 0
-
-    def sender(self, src: int, dst: int) -> Callable[[Any], None]:
-        """A precomputed send callable for the directed edge ``src -> dst``."""
-        if (src, dst) not in self._channels:
-            raise ValueError(f"({src}, {dst}) is not a tree edge")
-        return partial(self.send, src, dst)
-
-    def set_topology(self, tree: Tree) -> None:
-        """Swap the tree under the transport (dynamic attach/detach/rename).
-
-        New directed edges get fresh channels with RNG streams derived from
-        the continuing master stream (existing edges keep their streams);
-        channels for edges no longer present are dropped.  Must be called
-        at quiescence.
-        """
-        if not self.is_quiescent():
-            raise RuntimeError("cannot change topology with messages in flight")
-        self.tree = tree
-        wanted = set(tree.directed_edges())
-        for edge in [e for e in self._channels if e not in wanted]:
-            del self._channels[edge]
-        for u, v in tree.directed_edges():
-            if (u, v) not in self._channels:
-                self._add_channel(u, v)

@@ -42,7 +42,7 @@ recovery cost visible alongside.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -187,12 +187,11 @@ class _Outgoing:
 class ReliableNetwork:
     """A transport restoring reliable FIFO delivery over a lossy channel.
 
-    Drop-in replacement for :class:`~repro.sim.network.Network` (same
-    ``send`` / ``in_flight`` / ``is_quiescent`` interface) whose wire is a
-    :class:`~repro.sim.faults.FaultyNetwork` injecting drops, duplicates and
-    reordering per ``plan``.  The node automaton above it observes exactly
-    the paper's channel model: every logical message delivered exactly once,
-    in per-edge send order.
+    Same ``send`` / ``in_flight`` / ``is_quiescent`` interface as its wire,
+    a :class:`~repro.sim.faults.FaultyNetwork` injecting drops, duplicates
+    and reordering per ``plan``.  The node automaton above it observes
+    exactly the paper's channel model: every logical message delivered
+    exactly once, in per-edge send order.
 
     Parameters mirror :class:`~repro.sim.faults.FaultyNetwork` plus
     ``config``; ``stats`` receives goodput via :meth:`MessageStats.record`
@@ -236,7 +235,7 @@ class ReliableNetwork:
             tree,
             sim,
             receiver=self._on_frame,
-            plan=plan if plan is not None else FaultPlan(),
+            plan=plan,
             latency=latency,
             seed=seed,
             stats=MessageStats(),
@@ -292,12 +291,6 @@ class ReliableNetwork:
         recorded in :attr:`failures` and will never drain.
         """
         return self.in_flight() == 0
-
-    def sender(self, src: int, dst: int):
-        """A precomputed send callable for the directed edge ``src -> dst``."""
-        if (src, dst) not in self._next_seq:
-            raise ValueError(f"({src}, {dst}) is not a tree edge")
-        return partial(self.send, src, dst)
 
     def set_topology(self, tree: Tree) -> None:
         """Swap the tree under the transport (dynamic attach/detach/rename).
@@ -423,11 +416,7 @@ class ReliableNetwork:
             src, dst,
             Segment(seq=out.seq, payload=out.payload, epoch=self._epoch[edge]),
         )
-        out.timer.start(
-            out.timeout,
-            partial(self._on_timeout, edge, out),
-            label=f"rto {src}->{dst} #{out.seq}",
-        )
+        out.timer.start(out.timeout, partial(self._on_timeout, edge, out))
 
     def _on_timeout(self, edge: Edge, out: _Outgoing) -> None:
         if self._unacked[edge].get(out.seq) is not out:

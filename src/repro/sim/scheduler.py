@@ -55,17 +55,17 @@ class Simulator:
         """Number of scheduled, non-cancelled events."""
         return len(self._queue)
 
-    def schedule(self, delay: float, action: Callable[[], None], label: str = "") -> Event:
+    def schedule(self, delay: float, action: Callable[[], None]) -> Event:
         """Schedule ``action`` to run ``delay`` time units from now."""
         if delay < 0:
             raise ValueError(f"delay must be non-negative, got {delay}")
-        return self._queue.push(self._now + delay, action, label)
+        return self._queue.push(self._now + delay, action)
 
-    def schedule_at(self, time: float, action: Callable[[], None], label: str = "") -> Event:
+    def schedule_at(self, time: float, action: Callable[[], None]) -> Event:
         """Schedule ``action`` at absolute virtual time ``time`` (>= now)."""
         if time < self._now:
             raise ValueError(f"cannot schedule in the past: {time} < {self._now}")
-        return self._queue.push(time, action, label)
+        return self._queue.push(time, action)
 
     def run(
         self,
@@ -151,7 +151,7 @@ class Timer:
         """Virtual time of the pending firing, or ``None`` when inactive."""
         return self._event.time if self.active else None
 
-    def start(self, delay: float, action: Callable[[], None], label: str = "timer") -> None:
+    def start(self, delay: float, action: Callable[[], None]) -> None:
         """Arm the timer ``delay`` from now, replacing any pending firing.
 
         The pending action is held in an attribute and dispatched through
@@ -160,7 +160,7 @@ class Timer:
         """
         self.cancel()
         self._action = action
-        self._event = self.sim.schedule(delay, self._fire, label=label)
+        self._event = self.sim.schedule(delay, self._fire)
 
     def _fire(self) -> None:
         # Only the currently armed event can reach here: start() cancels the

@@ -1,14 +1,14 @@
 """The composable transport stack and its single assembly point.
 
-Every execution model in the repo moves messages through one of four
-transports, which form a layered stack:
+Every execution model in the simulator moves messages through one of
+three transports, which form a layered stack:
 
 * :class:`~repro.sim.network.SynchronousNetwork` — zero-latency global
   FIFO queue (the sequential model of Section 2);
-* :class:`~repro.sim.network.Network` — per-directed-edge FIFO channels
-  with a latency model under a virtual clock (Section 5);
-* :class:`~repro.sim.faults.FaultyNetwork` — the latency-ful wire plus
-  injected drop/duplicate/reorder faults;
+* :class:`~repro.sim.faults.FaultyNetwork` — the latency-ful wire:
+  per-directed-edge FIFO delivery with a latency model under a virtual
+  clock (Section 5), plus the drop/duplicate/reorder and scheduled faults
+  of its :class:`~repro.sim.faults.FaultPlan` (none by default);
 * :class:`~repro.sim.reliability.ReliableNetwork` — ACK/retransmit
   recovery wrapped around the faulty wire, restoring reliable FIFO.
 
@@ -19,14 +19,13 @@ cycle crept in.  :func:`build_transport` is now the single factory: a
 run over any stack.
 
 >>> cfg = TransportConfig()                          # synchronous FIFO
->>> cfg = TransportConfig.simulated()                # latency-ful channels
+>>> cfg = TransportConfig.simulated()                # latency-ful wire
 >>> cfg = TransportConfig.simulated(plan=FaultPlan(drop_prob=0.1))
 >>> cfg = TransportConfig.simulated(plan=plan, reliability=ReliabilityConfig())
 
 All transports share one interface: ``send(src, dst, message)``,
-``is_quiescent()``, ``sender(src, dst)`` (a precomputed per-edge send
-callable), ``set_topology(tree)`` (dynamic attach/detach/rename at
-quiescence), and ``stats`` / ``trace`` attributes.
+``is_quiescent()``, ``set_topology(tree)`` (dynamic attach/detach/rename
+at quiescence), and ``stats`` / ``trace`` attributes.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from typing import Any, Callable, Dict, Optional, Union
 
 from repro.sim.channel import LatencyModel
 from repro.sim.faults import FaultPlan, FaultyNetwork
-from repro.sim.network import Network, Receiver, SynchronousNetwork
+from repro.sim.network import Receiver, SynchronousNetwork
 from repro.sim.reliability import ReliabilityConfig, ReliableNetwork
 from repro.sim.scheduler import Simulator
 from repro.sim.stats import MessageStats
@@ -47,7 +46,7 @@ from repro.tree.topology import Tree
 #: Anything :func:`build_transport` can return.  External kinds (see
 #: :func:`register_transport_kind`) may return any object honoring the
 #: shared transport interface.
-Transport = Union[SynchronousNetwork, Network, FaultyNetwork, ReliableNetwork, Any]
+Transport = Union[SynchronousNetwork, FaultyNetwork, ReliableNetwork, Any]
 
 #: Registry of externally provided transport stacks, keyed by
 #: :attr:`TransportConfig.kind`.  A factory has the same signature as
@@ -66,8 +65,8 @@ def register_transport_kind(kind: str, factory: Callable[..., Any]) -> None:
 
     ``factory(config, tree, receiver, *, sim, seed, stats, trace, metrics)``
     must return an object implementing the shared transport
-    interface (``send`` / ``sender`` / ``is_quiescent`` / ``set_topology`` /
-    ``stats`` / ``trace``).  Called by plugin packages at import time —
+    interface (``send`` / ``is_quiescent`` / ``set_topology`` / ``stats`` /
+    ``trace``).  Called by plugin packages at import time —
     :mod:`repro.net` registers ``"asyncio"``.
     """
     _EXTERNAL_KINDS[kind] = factory
@@ -86,19 +85,19 @@ class TransportConfig:
     latency:
         Latency model for the simulated wire (default: constant 1.0).
     plan:
-        Fault-injection plan.  Without ``reliability`` the resulting
-        transport is a bare lossy wire (combines can hang — drive it with
-        ``run_with_faults``); with ``reliability`` the losses are healed.
+        Fault-injection plan for the wire (default: no faults).  Without
+        ``reliability`` a lossy plan leaves a bare lossy wire (combines can
+        hang — drive it with ``run_with_faults``); with ``reliability`` the
+        losses are healed.
     reliability:
         Reliable-delivery configuration wrapping the wire in
-        :class:`~repro.sim.reliability.ReliableNetwork`.  Implies a lossy
-        wire even when ``plan`` is omitted (a faultless plan is used).
+        :class:`~repro.sim.reliability.ReliableNetwork`.
     seed:
         Seed for the transport's latency RNG streams.  ``None`` inherits
         the engine's seed (the engines preserve the historical convention:
         plain transports use ``seed``, fault-injected ones ``seed + 1``).
     kind:
-        ``"builtin"`` selects one of the four in-repo stacks above;
+        ``"builtin"`` selects one of the three in-repo stacks above;
         any other value names an externally registered stack (see
         :func:`register_transport_kind`) — e.g. ``"asyncio"`` for the
         live socket transport of :mod:`repro.net`.  External kinds run on
@@ -152,8 +151,8 @@ class TransportConfig:
         reliability: Optional[ReliabilityConfig] = None,
         seed: Optional[int] = None,
     ) -> "TransportConfig":
-        """A simulated (virtual-clock) stack: ``Network`` by default,
-        ``FaultyNetwork`` when ``plan`` is set, ``ReliableNetwork`` on top
+        """A simulated (virtual-clock) stack: the ``FaultyNetwork`` wire
+        (faultless unless ``plan`` is set), with ``ReliableNetwork`` on top
         when ``reliability`` is set."""
         return cls(
             synchronous=False,
@@ -230,21 +229,11 @@ def build_transport(
             trace=trace,
             metrics=metrics,
         )
-    if config.plan is not None:
-        return FaultyNetwork(
-            tree,
-            sim,
-            receiver=receiver,
-            plan=config.plan,
-            latency=config.latency,
-            seed=transport_seed,
-            stats=stats,
-            trace=trace,
-        )
-    return Network(
+    return FaultyNetwork(
         tree,
         sim,
         receiver=receiver,
+        plan=config.plan,
         latency=config.latency,
         seed=transport_seed,
         stats=stats,

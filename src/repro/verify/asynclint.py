@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.verify.protolint import Finding, _parse, _python_files, _rel
 

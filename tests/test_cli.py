@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main, make_policy_factory, make_tree
@@ -105,6 +110,31 @@ class TestCommands:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])
+
+    # A large output breaks inside ``print``; a small one only at the final
+    # flush, with its data still buffered for the interpreter's exit flush.
+    @pytest.mark.parametrize(
+        "argv", [["verify", "effects", "--json"], ["demo"]], ids=["large", "small"]
+    )
+    def test_closed_stdout_exits_without_traceback(self, argv):
+        # The reader closed its end of the pipe before the first write.
+        repo = Path(__file__).resolve().parent.parent
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                cwd=repo,
+                env={"PYTHONPATH": str(repo / "src"), "PATH": "/usr/bin:/bin"},
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr, proc.stderr
+        assert "BrokenPipeError" not in proc.stderr, proc.stderr
 
 
 class TestExtendedCommands:

@@ -1,8 +1,8 @@
 """Failure-injection experiments: the paper's channel assumptions matter.
 
 The guarantees are proven for reliable FIFO channels.  These tests inject
-drops, duplicates and reordering and demonstrate (a) a faultless
-FaultyNetwork is behaviourally identical to the real one, (b) faults cause
+drops, duplicates and reordering and demonstrate (a) an explicit faultless
+plan leaves the plain wire's results unchanged, (b) faults cause
 observable protocol damage, and (c) the damage is *detected* — by hung
 combines, by the strict-consistency checker, or by stale answers —
 rather than passing silently.
@@ -270,8 +270,8 @@ class TestFaultyNetworkUnit:
         assert got == [(10.0, "first"), (10.0, "second")]
 
     def test_faulty_network_emits_trace_events(self):
-        """FaultyNetwork now shares the Network trace vocabulary: send/recv
-        events plus a ``fault`` event per injected fault."""
+        """FaultyNetwork traces send/recv events plus a ``fault`` event per
+        injected fault."""
         from repro.sim.scheduler import Simulator
         from repro.sim.trace import TraceLog
 
@@ -294,7 +294,7 @@ class TestFaultyNetworkUnit:
         assert fault_ev.detail["fault"] == "drop"
         assert fault_ev.detail["dst"] == 1
 
-        # And a clean delivery produces the send/recv pair, like Network.
+        # And a clean delivery produces the send/recv pair.
         net.plan = FaultPlan()
         net.send(0, 1, "msg2")
         sim.run()

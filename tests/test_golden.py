@@ -4,6 +4,8 @@ Canonical scenarios are pinned to checked-in JSON expectations
 (``tests/golden/*.json``): total messages, per-kind counts, per-request
 costs, combine retvals, and the final lease graph.  Any behavioural change
 to the mechanism or a policy — however subtle — shows up as a golden diff.
+One concurrent scenario also pins the simulated wire: its event count and
+every combine's virtual initiation and completion times.
 
 Regenerate after an *intentional* protocol change with:
 
@@ -17,6 +19,7 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import random
 
 import pytest
 
@@ -24,13 +27,17 @@ from repro import (
     ABPolicy,
     AggregationSystem,
     AlwaysLeasePolicy,
+    ConcurrentAggregationSystem,
     NeverLeasePolicy,
     RWWPolicy,
     binary_tree,
     path_tree,
+    random_tree,
     star_tree,
     two_node_tree,
 )
+from repro.core.engine import ScheduledRequest
+from repro.sim.channel import uniform_latency
 from repro.workloads import adv_sequence, uniform_workload
 from repro.workloads.requests import COMBINE, copy_sequence
 
@@ -91,9 +98,31 @@ def run_scenario(spec) -> dict:
     }
 
 
-@pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_golden(name):
-    observed = run_scenario(SCENARIOS[name])
+def run_concurrent_scenario() -> dict:
+    """200 requests overlapping on the latency-ful wire (Poisson arrivals)."""
+    tree = random_tree(15, 2)
+    system = ConcurrentAggregationSystem(
+        tree, latency=uniform_latency(0.1, 3.0), seed=2
+    )
+    rng = random.Random(2)
+    t, schedule = 0.0, []
+    for q in uniform_workload(tree.n, 200, read_ratio=0.5, seed=2):
+        t += rng.expovariate(1.0)
+        schedule.append(ScheduledRequest(time=t, request=q))
+    result = system.run(schedule)
+    return {
+        "total_messages": result.total_messages,
+        "by_kind": dict(sorted(result.stats.by_kind().items())),
+        "events_processed": system.sim.events_processed,
+        "combines": [
+            [round(q.initiated_at, 9), round(q.completed_at, 9), round(q.retval, 9)]
+            for q in result.requests
+            if q.op == COMBINE
+        ],
+    }
+
+
+def check_golden(name: str, observed: dict) -> None:
     path = GOLDEN_DIR / f"{name}.json"
     if os.environ.get("REPRO_REGEN_GOLDEN"):
         GOLDEN_DIR.mkdir(exist_ok=True)
@@ -104,3 +133,12 @@ def test_golden(name):
     )
     expected = json.loads(path.read_text())
     assert observed == expected, f"golden mismatch for {name}"
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_golden(name):
+    check_golden(name, run_scenario(SCENARIOS[name]))
+
+
+def test_golden_concurrent_wire():
+    check_golden("concurrent_random15_uniform", run_concurrent_scenario())

@@ -548,9 +548,9 @@ class _RecordingTimer:
         self._inner = inner
         self._delays = delays
 
-    def start(self, delay, action, label=""):
+    def start(self, delay, action):
         self._delays.append(delay)
-        self._inner.start(delay, action, label=label)
+        self._inner.start(delay, action)
 
     def cancel(self):
         self._inner.cancel()

@@ -11,7 +11,8 @@ every cell ends in a state satisfying Lemma 3.1 (lease symmetry:
 
 Cell notes
 ----------
-* **plain** — latency-ful FIFO :class:`~repro.sim.network.Network`.
+* **plain** — the latency-ful FIFO wire,
+  :class:`~repro.sim.faults.FaultyNetwork` under a faultless plan.
 * **faulty** — :class:`~repro.sim.faults.FaultyNetwork` with reorder draws
   under *constant* latency: the fault layer genuinely fires (the fault log
   records reorders) but bypassing the FIFO clamp cannot change delivery
@@ -200,3 +201,24 @@ class TestNewlyEnabledCombinations:
         assert system.network.inner.faults.count("drop") > 0
         assert system.network.summary.give_ups == 0
         assert moved is None or moved in system.live_nodes
+
+    def test_crash_and_recover_on_the_plain_simulated_stack(self):
+        """The plain stack's wire is FaultyNetwork, which has crash_node:
+        traffic into a crashed node dies as a declared loss, and recovery
+        reconciles the node's leases."""
+        system = AggregationSystem(
+            TREE, transport=TRANSPORTS["plain"](), seed=2, trace_enabled=True
+        )
+        assert isinstance(system.network, FaultyNetwork)
+        system.execute(write(3, 4.0))
+        system.execute(combine(0))
+        system.execute(combine(0))
+        assert (3, 2) in system.lease_graph_edges()
+        system.runtime.crash(2)
+        system.execute(write(5, 1.0))  # its update to 3 is relayed to 2
+        assert system.runtime.trace.count("delivery_failed") == 1
+        system.runtime.recover(2)
+        system.runtime.drain()
+        assert system.execute(combine(0)).retval == 5.0
+        system.check_quiescent_invariants()
+        assert_lemma_31(system)

@@ -1,4 +1,4 @@
-"""Tests for repro.sim: events, scheduler, channels, stats, traces."""
+"""Tests for repro.sim: events, scheduler, the wire, stats, traces."""
 
 from __future__ import annotations
 
@@ -11,9 +11,8 @@ from hypothesis import strategies as st
 from repro.sim import (
     Event,
     EventQueue,
-    FifoChannel,
+    FaultyNetwork,
     MessageStats,
-    Network,
     Simulator,
     TraceLog,
     constant_latency,
@@ -23,6 +22,11 @@ from repro.sim.channel import exponential_latency
 from repro.sim.network import SynchronousNetwork
 from repro.sim.scheduler import SimulationLimitError
 from repro.tree import path_tree
+
+
+def edge_01(sim, got, **kw):
+    """The wire on a two-node tree; ``got`` collects what edge 0->1 delivers."""
+    return FaultyNetwork(path_tree(2), sim, receiver=lambda s, d, m: got.append(m), **kw)
 
 
 class TestEventQueue:
@@ -183,12 +187,15 @@ class TestLatencyModels:
 
 
 class TestFifoChannel:
+    """One directed edge of the wire under its default, faultless plan:
+    the reliable FIFO channel with latency of Section 5."""
+
     def test_delivers_in_order_constant(self):
         sim = Simulator()
         got = []
-        ch = FifoChannel(sim, 0, 1, deliver=got.append, latency=constant_latency(1.0))
+        net = edge_01(sim, got, latency=constant_latency(1.0))
         for i in range(5):
-            ch.send(i)
+            net.send(0, 1, i)
         sim.run()
         assert got == [0, 1, 2, 3, 4]
 
@@ -197,44 +204,42 @@ class TestFifoChannel:
     def test_fifo_preserved_under_random_latency(self, seed, n):
         sim = Simulator()
         got = []
-        ch = FifoChannel(
-            sim, 0, 1, deliver=got.append,
-            latency=uniform_latency(0.0, 10.0), rng=random.Random(seed),
-        )
+        net = edge_01(sim, got, latency=uniform_latency(0.0, 10.0), seed=seed)
         for i in range(n):
-            ch.send(i)
+            net.send(0, 1, i)
         sim.run()
         assert got == list(range(n))
 
     def test_in_flight_accounting(self):
         sim = Simulator()
-        ch = FifoChannel(sim, 0, 1, deliver=lambda _: None)
-        ch.send("x")
-        assert ch.in_flight == 1
+        got = []
+        net = edge_01(sim, got)
+        net.send(0, 1, "x")
+        assert net.in_flight() == 1
         sim.run()
-        assert ch.in_flight == 0
-        assert ch.sent == ch.delivered == 1
+        assert net.in_flight() == 0
+        assert net.stats.total == len(got) == 1
 
     def test_delivery_time_clamped(self):
         # A later send with a tiny latency draw may not overtake an earlier one.
         sim = Simulator()
         times = []
         draws = iter([10.0, 0.1])
-        ch = FifoChannel(
-            sim, 0, 1,
-            deliver=lambda _: times.append(sim.now),
+        net = FaultyNetwork(
+            path_tree(2), sim,
+            receiver=lambda s, d, m: times.append(sim.now),
             latency=lambda s, d, r: next(draws),
         )
-        ch.send("a")
-        ch.send("b")
+        net.send(0, 1, "a")
+        net.send(0, 1, "b")
         sim.run()
         assert times == [10.0, 10.0]
 
     def test_rejects_negative_latency_draw(self):
         sim = Simulator()
-        ch = FifoChannel(sim, 0, 1, deliver=lambda _: None, latency=lambda s, d, r: -1.0)
-        with pytest.raises(ValueError):
-            ch.send("x")
+        net = edge_01(sim, [], latency=lambda s, d, r: -1.0)
+        with pytest.raises(ValueError, match="negative delay"):
+            net.send(0, 1, "x")
 
 
 class TestMessageStats:
@@ -365,16 +370,18 @@ class TestSynchronousNetwork:
 
 
 class TestNetwork:
+    """The wire as a whole, under its default, faultless plan."""
+
     def test_rejects_non_edge(self):
         sim = Simulator()
-        net = Network(path_tree(3), sim, receiver=lambda *a: None)
+        net = FaultyNetwork(path_tree(3), sim, receiver=lambda *a: None)
         with pytest.raises(ValueError, match="not a tree edge"):
             net.send(0, 2, "x")
 
     def test_counts_and_delivers(self):
         sim = Simulator()
         got = []
-        net = Network(path_tree(2), sim, receiver=lambda s, d, m: got.append(m))
+        net = edge_01(sim, got)
         net.send(0, 1, "hello")
         assert net.in_flight() == 1
         sim.run()
@@ -386,7 +393,7 @@ class TestNetwork:
         def run(seed):
             sim = Simulator()
             got = []
-            net = Network(
+            net = FaultyNetwork(
                 path_tree(4), sim,
                 receiver=lambda s, d, m: got.append((sim.now, m)),
                 latency=uniform_latency(0.1, 2.0), seed=seed,
