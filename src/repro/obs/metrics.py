@@ -266,6 +266,10 @@ class MetricsBridge:
     def __init__(self, registry: MetricsRegistry) -> None:
         self.registry = registry
         self._grant_time: Dict[Tuple[int, int], float] = {}
+        # The per-event counters, looked up once per label tuple: a registry
+        # lookup canonicalizes a label dict, and the bridge sees every event.
+        self._messages: Dict[Tuple[int, Any, str], Counter] = {}
+        self._lease_events: Dict[Tuple[int, str], Counter] = {}
 
     def __call__(self, ev: Any) -> None:
         kind = ev.kind
@@ -275,11 +279,20 @@ class MetricsBridge:
             # the logical ledgers — same filter as repro.obs.export.
             if msg.startswith("seg:") or msg == "ack":
                 return
-            self.registry.counter(
-                "messages_total", src=ev.node, dst=ev.detail["dst"], kind=msg
-            ).inc()
+            dst = ev.detail["dst"]
+            counter = self._messages.get((ev.node, dst, msg))
+            if counter is None:
+                counter = self._messages[(ev.node, dst, msg)] = self.registry.counter(
+                    "messages_total", src=ev.node, dst=dst, kind=msg
+                )
+            counter.inc()
         elif kind in self._LEASE_KINDS:
-            self.registry.counter("lease_events_total", node=ev.node, kind=kind).inc()
+            counter = self._lease_events.get((ev.node, kind))
+            if counter is None:
+                counter = self._lease_events[(ev.node, kind)] = self.registry.counter(
+                    "lease_events_total", node=ev.node, kind=kind
+                )
+            counter.inc()
             if kind == "lease_granted":
                 self._grant_time[(ev.node, ev.detail["grantee"])] = ev.time
             elif kind in ("lease_broken", "lease_revoked"):

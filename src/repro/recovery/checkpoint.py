@@ -4,8 +4,14 @@ The crash model splits :class:`~repro.core.mechanism.LeaseNode` state into
 two durability classes:
 
 * **durable** — ``val``, ``upcntr``, the ghost logs: the write-ahead part.
-  A crash never loses these (every write is durable before it completes),
-  so checkpoints neither capture nor restore them.
+  Checkpoints neither capture nor restore them.  In the simulator a crash
+  never loses them: :meth:`LeaseNode.crash_volatile` leaves them alone.
+  A ``serve`` process has no durable store for them.  A restarted
+  ``serve-node`` builds each hosted node fresh: its ``val`` is the
+  operator's identity until the node is written again, its ``upcntr``
+  restarts from 0, and the writes it completed before the kill are lost.
+  ROADMAP.md item 1 ("Crash recovery without checkpoints") plans one
+  crash contract for both hosts.
 * **volatile** — the lease tables (``taken``/``granted``), the cached
   subtree views (``aval``), the ``uaw`` windows, ``sntupdates``, and the
   policy's bookkeeping.  A crash loses everything since the last
@@ -17,36 +23,28 @@ two durability classes:
   lease tables serves stale reads — exactly the seeded mutant the model
   checker catches (see ``verify explore``).
 
-Each checkpoint has a deterministic :attr:`Checkpoint.digest` over its
-canonical form (:func:`repro.util.canon.canonical_value`), so equality of
-checkpoint content is testable without comparing mutable containers, and
-the serialized form is stable across runs.  The digest is computed when
-read, not at capture: checkpoints are taken far more often than compared.
+A checkpoint holds the volatile tables as one :func:`pickle.dumps` blob.
+One pickle is cheaper than deep-copying each table, the blob shares
+nothing with the node it came from, and every :meth:`Checkpoint.restore`
+unpickles fresh objects, so two restores from one checkpoint share
+nothing either.  Each checkpoint has a deterministic
+:attr:`Checkpoint.digest` over the canonical form of those tables
+(:func:`repro.util.canon.canonical_value`), so equality of checkpoint
+content is testable without comparing mutable containers.  The digest is
+computed when read, not at capture: checkpoints are taken far more often
+than compared.
 """
 
 from __future__ import annotations
 
-import copy
 import hashlib
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+import pickle
+from dataclasses import dataclass
+from typing import Any, Dict, Optional
 
 from repro.util.canon import canonical_value
 
 __all__ = ["Checkpoint", "CheckpointStore"]
-
-
-def _copy_ledger(
-    ledger: Dict[int, Tuple[List[int], List[int]]],
-    keep: Optional[Set[int]] = None,
-) -> Dict[int, Tuple[List[int], List[int]]]:
-    """A relay ledger with its own per-source lists (the node appends to
-    its lists in place), restricted to the sources in ``keep``."""
-    return {
-        v: (list(nids), list(rcvids))
-        for v, (nids, rcvids) in ledger.items()
-        if keep is None or v in keep
-    }
 
 
 @dataclass
@@ -61,50 +59,40 @@ class Checkpoint:
         Monotone per-node checkpoint sequence number.
     time:
         Virtual time of the capture.
-    taken / granted / aval / uaw / sntupdates / policy_state:
-        Deep copies of the volatile protocol state (see module doc);
+    state:
+        One pickle of the volatile protocol state (see module doc), the
+        tuple ``(taken, granted, aval, uaw, sntupdates, policy_state)``;
         ``sntupdates`` is the node's relay ledger, ``{source neighbor:
-        (sntids, rcvids)}``, with its own copy of every list.
+        (sntids, rcvids)}``, and ``policy_state`` the policy's public
+        attributes.
     """
 
     node: int
     seq: int
     time: float
-    taken: Dict[int, bool] = field(default_factory=dict)
-    granted: Dict[int, bool] = field(default_factory=dict)
-    aval: Dict[int, Any] = field(default_factory=dict)
-    uaw: Dict[int, Set[int]] = field(default_factory=dict)
-    sntupdates: Dict[int, Tuple[List[int], List[int]]] = field(default_factory=dict)
-    policy_state: Dict[str, Any] = field(default_factory=dict)
+    state: bytes
 
     @classmethod
     def capture(cls, node: Any, seq: int, time: float) -> "Checkpoint":
         """Snapshot the volatile state of ``node`` (a ``LeaseNode``)."""
+        policy_state = {
+            k: v for k, v in vars(node.policy).items() if not k.startswith("_")
+        }
+        tables = (
+            node.taken, node.granted, node.aval, node.uaw, node.sntupdates,
+            policy_state,
+        )
         return cls(
             node=node.id,
             seq=seq,
             time=time,
-            taken=dict(node.taken),
-            granted=dict(node.granted),
-            aval=copy.deepcopy(node.aval),
-            uaw={v: set(s) for v, s in node.uaw.items()},
-            sntupdates=_copy_ledger(node.sntupdates),
-            policy_state=copy.deepcopy(
-                {k: v for k, v in vars(node.policy).items() if not k.startswith("_")}
-            ),
+            state=pickle.dumps(tables),
         )
 
     @property
     def digest(self) -> str:
         """Canonical content digest of the captured volatile state."""
-        payload = (
-            self.taken,
-            self.granted,
-            self.aval,
-            self.uaw,
-            self.sntupdates,
-            self.policy_state,
-        )
+        payload = pickle.loads(self.state)
         return hashlib.sha256(repr(canonical_value(payload)).encode()).hexdigest()[:16]
 
     def restore(self, node: Any) -> None:
@@ -115,15 +103,14 @@ class Checkpoint:
         state for departed neighbors is dropped, new neighbors keep their
         fresh attach-time state.  Durable fields are untouched.
         """
+        taken, granted, aval, uaw, sntupdates, policy_state = pickle.loads(self.state)
         current = set(node.nbrs)
-        node.taken.update({v: f for v, f in self.taken.items() if v in current})
-        node.granted.update({v: f for v, f in self.granted.items() if v in current})
-        node.aval.update(
-            {v: copy.deepcopy(x) for v, x in self.aval.items() if v in current}
-        )
-        node.uaw.update({v: set(s) for v, s in self.uaw.items() if v in current})
-        node.sntupdates = _copy_ledger(self.sntupdates, current)
-        for k, v in copy.deepcopy(self.policy_state).items():
+        node.taken.update({v: f for v, f in taken.items() if v in current})
+        node.granted.update({v: f for v, f in granted.items() if v in current})
+        node.aval.update({v: x for v, x in aval.items() if v in current})
+        node.uaw.update({v: s for v, s in uaw.items() if v in current})
+        node.sntupdates = {v: e for v, e in sntupdates.items() if v in current}
+        for k, v in policy_state.items():
             setattr(node.policy, k, v)
 
 

@@ -49,7 +49,7 @@ from repro.recovery.lease_ttl import LeaseExpiry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.mechanism import LeaseNode
-    from repro.obs.metrics import MetricsRegistry
+    from repro.obs.metrics import Counter, MetricsRegistry
     from repro.sim.trace import TraceLog
 
 __all__ = ["RecoveryConfig", "RecoveryManager"]
@@ -133,6 +133,9 @@ class RecoveryManager:
         self.clock = clock
         self.is_down = is_down
         self.store = CheckpointStore()
+        # ``checkpoints_total`` per node, looked up once: a registry lookup
+        # canonicalizes a label dict, and captures run every interval.
+        self._checkpoint_counters: Dict[int, "Counter"] = {}
         ttl = config.lease_ttl
         if ttl is not None and not trace.enabled:
             # TTL renewal rides the trace subscription (recv/deliver events
@@ -203,7 +206,12 @@ class RecoveryManager:
             cp = Checkpoint.capture(self.nodes[nid], self.store.next_seq(nid), now)
             self.store.save(cp)
             self.trace.emit(now, "checkpoint", nid, seq=cp.seq)
-            self.metrics.counter("checkpoints_total", node=nid).inc()
+            counter = self._checkpoint_counters.get(nid)
+            if counter is None:
+                counter = self._checkpoint_counters[nid] = self.metrics.counter(
+                    "checkpoints_total", node=nid
+                )
+            counter.inc()
             out.append(cp)
         return out
 

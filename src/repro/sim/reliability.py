@@ -226,6 +226,9 @@ class ReliableNetwork:
         #: Optional :class:`repro.obs.metrics.MetricsRegistry` receiving
         #: retransmit counters and reorder-buffer-depth gauges per edge.
         self.metrics = metrics
+        # Reorder-buffer-depth gauges per edge, looked up once: a registry
+        # lookup canonicalizes a label dict, and every segment sets one twice.
+        self._depth_gauges: Dict[Edge, Any] = {}
         self.summary = ReliabilitySummary()
         self.failures: List[DeliveryFailure] = []
         # The wire: lossy transport carrying Segment/Ack frames.  It gets a
@@ -518,18 +521,22 @@ class ReliableNetwork:
         buffer[seq] = frame.payload
         if seq != expected:
             self.summary.out_of_order_buffered += 1
+        depth = None
         if self.metrics is not None:
-            self.metrics.gauge(
-                "reorder_buffer_depth", src=src, dst=dst
-            ).set(len(buffer))
+            depth = self._depth_gauges.get(edge)
+            if depth is None:
+                depth = self._depth_gauges[edge] = self.metrics.gauge(
+                    "reorder_buffer_depth", src=src, dst=dst
+                )
+            depth.set(len(buffer))
         while self._expected[edge] in buffer:
             payload = buffer.pop(self._expected[edge])
             self._expected[edge] += 1
             kind = getattr(payload, "kind", type(payload).__name__.lower())
             self.trace.emit(self.clock.now, "deliver", dst, src=src, msg=kind)
             self._receiver(src, dst, payload)
-        if self.metrics is not None:
-            self.metrics.gauge("reorder_buffer_depth", src=src, dst=dst).set(len(buffer))
+        if depth is not None:
+            depth.set(len(buffer))
         self._send_ack(edge)
 
     def _send_ack(self, edge: Edge) -> None:

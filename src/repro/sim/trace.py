@@ -22,14 +22,16 @@ Beyond plain appends the log supports:
 * **emit-time copying** — mutable detail values (dicts/lists/sets) are
   shallow-copied on emit, so events stay fixed even when the caller keeps
   mutating the object it logged (``uaw`` sets, probe-target sets, ...).
+
+Events are :class:`typing.NamedTuple` records: immutable, and as cheap to
+build as a tuple, because chaos runs record tens of events per request.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from itertools import islice
-from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 #: Subscriber callback signature: receives each event as it is emitted.
 Subscriber = Callable[["TraceEvent"], None]
@@ -76,19 +78,21 @@ EVENT_SCHEMAS: Dict[str, Tuple[str, ...]] = {
 }
 
 
+#: Detail value types :meth:`TraceLog.emit` shallow-copies.
+_MUTABLE = (dict, list, set)
+
+
 def _copy_value(value: Any) -> Any:
-    """Shallow-copy mutable containers so emitted events stay immutable."""
+    """A shallow copy of a ``dict``, ``list`` or ``set`` detail value, so
+    emitted events stay immutable."""
     if isinstance(value, dict):
         return dict(value)
     if isinstance(value, list):
         return list(value)
-    if isinstance(value, set):
-        return set(value)
-    return value
+    return set(value)
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     """One trace record.
 
     Attributes
@@ -106,7 +110,7 @@ class TraceEvent:
     time: float
     kind: str
     node: int
-    detail: Dict[str, Any] = field(default_factory=dict)
+    detail: Dict[str, Any]
 
 
 class SchemaError(ValueError):
@@ -150,8 +154,10 @@ class TraceLog:
     def emit(self, time: float, kind: str, node: int, **detail: Any) -> None:
         """Append an event and notify subscribers (no-op when disabled).
 
-        Mutable detail values are shallow-copied so later caller-side
-        mutation never rewrites history.
+        The event keeps ``detail``, the fresh dict Python builds for the
+        call's keyword arguments.  Its ``dict``, ``list`` and ``set``
+        values are shallow-copied so later caller-side mutation never
+        rewrites history.
         """
         if not self.enabled:
             return
@@ -164,8 +170,10 @@ class TraceLog:
                 raise SchemaError(
                     f"event {kind!r} missing required detail field(s) {missing}"
                 )
-        payload = {k: _copy_value(v) for k, v in detail.items()}
-        event = TraceEvent(time=time, kind=kind, node=node, detail=payload)
+        for k, v in detail.items():
+            if isinstance(v, _MUTABLE):
+                detail[k] = _copy_value(v)
+        event = TraceEvent(time, kind, node, detail)
         if self.max_events is not None and len(self._events) == self.max_events:
             self._dropped += 1
         self._events.append(event)

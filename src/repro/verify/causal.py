@@ -50,13 +50,22 @@ floats compared after rounding).
 **Crash-touched nodes.**  A node with a ``node_crash`` event anywhere in
 the trace gets a *relaxed* candidate set: every one of its writes (and
 no-write) is admissible for every combine, except writes the combine's
-completion precedes.  This is forced by crash semantics, not a shortcut —
-a restart restores the last durable checkpoint, so writes applied after
-it are legitimately rolled back, and while the node is down its peers
-expire its leases and serve combines that exclude its whole subtree.
-Which of those histories a given combine observed cannot be recovered
-from the trace alone, so inclusion is genuinely optional.  Crash-free
-traces keep the strict lower-bound rule on every node.
+completion precedes.  While the node is down its peers expire its leases
+and serve combines that exclude its whole subtree, and which of those
+histories a given combine observed cannot be recovered from the trace
+alone.  What a restart keeps depends on the host:
+
+* in the simulator a crash keeps ``val`` and ``upcntr`` (recovery restores
+  only the checkpointed lease tables, views and policy bookkeeping), so no
+  completed write is rolled back;
+* a restarted ``serve-node`` builds its nodes fresh and no checkpoint
+  holds ``val``, so the node's value is the operator's identity until it
+  is written again, and its earlier writes drop out of later combines.
+
+The relaxed rule admits both.  ROADMAP.md item 1 ("Crash recovery without
+checkpoints") plans one crash contract for both hosts, under which this
+rule can go.  Crash-free traces keep the strict lower-bound rule on every
+node.
 """
 
 from __future__ import annotations
@@ -314,8 +323,9 @@ def _candidates(
     """Admissible contributions of one node to combine ``c``: the value of
     the latest payload-visible write, any newer non-excluded write, or
     no-write when nothing was mandatorily visible.  ``relaxed`` (crash-
-    touched nodes) drops the lower bound: checkpoint rollback and dead-
-    window subtree exclusion make every inclusion optional."""
+    touched nodes) drops the lower bound: dead-window subtree exclusion,
+    and on ``serve`` a restart's lost value, make every inclusion
+    optional."""
     if relaxed:
         out: List[Any] = [None]
         for w in node_writes:

@@ -36,6 +36,7 @@ from repro.obs.metrics import (
     Counter,
     Gauge,
     Histogram,
+    MetricsBridge,
     MetricsRegistry,
 )
 from repro.obs.monitors import (
@@ -51,7 +52,7 @@ from repro.sim.channel import constant_latency
 from repro.sim.faults import FaultPlan
 from repro.core.engine import reliable_concurrent_system
 from repro.sim.reliability import ReliabilityConfig
-from repro.sim.trace import SchemaError, TraceLog
+from repro.sim.trace import SchemaError, TraceEvent, TraceLog
 from repro.workloads import uniform_workload
 from repro.workloads.requests import copy_sequence
 
@@ -164,9 +165,29 @@ class TestTraceLog:
     def test_emit_copies_mutable_detail(self):
         log = TraceLog(enabled=True)
         targets = [1, 2]
-        log.emit(0.0, "probe_round", 0, requestor=0, targets=targets)
+        views = {1: 5.0}
+        window = {3}
+        log.emit(0.0, "probe_round", 0, requestor=0, targets=targets,
+                 views=views, window=window)
         targets.append(3)
-        assert log[0].detail["targets"] == [1, 2]
+        views[2] = 6.0
+        window.add(4)
+        ev = log[0]
+        assert ev.detail["targets"] == [1, 2]
+        assert ev.detail["views"] == {1: 5.0}
+        assert ev.detail["window"] == {3}
+        with pytest.raises(AttributeError):
+            ev.kind = "send"
+
+    def test_event_construction_equality_and_repr(self):
+        ev = TraceEvent(time=1.0, kind="send", node=0, detail={"dst": 1})
+        assert ev == TraceEvent(1.0, "send", 0, {"dst": 1})
+        assert (ev.time, ev.kind, ev.node, ev.detail) == (1.0, "send", 0, {"dst": 1})
+        assert repr(ev) == (
+            "TraceEvent(time=1.0, kind='send', node=0, detail={'dst': 1})"
+        )
+        with pytest.raises(TypeError):
+            TraceEvent(time=1.0, kind="send", node=0)  # detail has no default
 
     def test_strict_schema_validation(self):
         log = TraceLog(enabled=True, strict=True)
@@ -443,6 +464,23 @@ class TestReliabilityTraceEvents:
         for ev in dups:
             assert "seq" in ev.detail and "src" in ev.detail
 
+    def test_bridge_counters_match_the_trace(self):
+        # One counter per label tuple: per directed edge and message kind,
+        # and per node and lease transition.
+        system, _ = self._chaos_system()
+        sends, leases = {}, {}
+        for ev in system.trace:
+            if ev.kind == "send" and is_logical_kind(str(ev.detail["msg"])):
+                key = (("dst", ev.detail["dst"]), ("kind", ev.detail["msg"]),
+                       ("src", ev.node))
+                sends[key] = sends.get(key, 0) + 1
+            elif ev.kind in MetricsBridge._LEASE_KINDS:
+                key = (("kind", ev.kind), ("node", ev.node))
+                leases[key] = leases.get(key, 0) + 1
+        assert len(sends) > 1 and len(leases) > 1
+        assert system.metrics.counter_values("messages_total") == sends
+        assert system.metrics.counter_values("lease_events_total") == leases
+
     def test_retransmit_counter_matches_overhead_ledger(self):
         system, result = self._chaos_system()
         counted = system.metrics.counter_total("retransmits_total")
@@ -457,6 +495,14 @@ class TestReliabilityTraceEvents:
             if name == "reorder_buffer_depth"
         ]
         assert depths and max(depths) >= 1  # reordering actually buffered
+        # One gauge per directed edge that released a segment.
+        gauged = {
+            (dict(labels)["src"], dict(labels)["dst"])
+            for (name, labels) in system.metrics._gauges
+            if name == "reorder_buffer_depth"
+        }
+        delivered = {(ev.detail["src"], ev.node) for ev in system.trace.events(kind="deliver")}
+        assert len(delivered) > 1 and delivered <= gauged
         # current depth is back to zero at quiescence on every edge
         assert all(
             g.value == 0

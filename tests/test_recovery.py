@@ -54,14 +54,21 @@ def _schedule(requests, gap=100.0):
 
 # ----------------------------------------------------------- checkpointing
 class TestCheckpoint:
-    def test_capture_restore_roundtrip(self):
+    @staticmethod
+    def _relay_node():
+        """Node 1 of a 3-path after a relay: every captured table is
+        non-empty (leases both ways, a cached view, a ``uaw`` window, one
+        ledger entry and the RWW policy's ``lt`` counters)."""
         system = _reliable(path_tree(3), FaultPlan())
         system.run(_schedule([write(0, 5.0), combine(2), write(0, 6.0), write(2, 7.0)]))
-        node = system.runtime.nodes[1]
+        return system.runtime.nodes[1]
+
+    def test_capture_restore_roundtrip(self):
+        node = self._relay_node()
         history = relay_triples(node.sntupdates)
         assert history  # node 1 relayed 0's write toward 2
         before = node.state_snapshot()
-        cp = Checkpoint.capture(node, seq=0, time=system.runtime.now)
+        cp = Checkpoint.capture(node, seq=0, time=0.0)
 
         # A relay after the capture appends to the live ledger only.
         node.on_message(0, Update(x=8.0, id=2))
@@ -81,6 +88,47 @@ class TestCheckpoint:
         node.on_message(0, Update(x=9.0, id=3))
         cp.restore(node)
         assert relay_triples(node.sntupdates) == history
+
+    def test_digest_is_pinned(self):
+        # The digest depends on the captured content only, so it must not
+        # move when the way a checkpoint stores that content changes.
+        node = self._relay_node()
+        assert node.uaw[0] and node.sntupdates and node.policy.lt
+        cp = Checkpoint.capture(node, seq=0, time=0.0)
+        assert cp.digest == "fc41d592f94660f8"
+
+    def test_restore_returns_capture_time_values(self):
+        node = self._relay_node()
+        cp = Checkpoint.capture(node, seq=0, time=0.0)
+        aval = dict(node.aval)
+        uaw = {v: set(s) for v, s in node.uaw.items()}
+        lt = dict(node.policy.lt)
+        # Mutate the live tables in place after the capture.
+        node.aval[0] = 99.0
+        node.uaw[0].add(7)
+        node.policy.lt[0] += 5
+        cp.restore(node)
+        assert node.aval == aval
+        assert node.uaw == uaw
+        assert node.policy.lt == lt
+
+    def test_two_restores_share_no_mutable_object(self):
+        node = self._relay_node()
+        cp = Checkpoint.capture(node, seq=0, time=0.0)
+
+        def restored_parts():
+            # The containers a restore installs: the ledger and its lists,
+            # the uaw windows and the policy's tables.
+            parts = [node.sntupdates, node.policy.lt]
+            parts += [lst for entry in node.sntupdates.values() for lst in entry]
+            parts += list(node.uaw.values())
+            return parts
+
+        cp.restore(node)
+        first = restored_parts()
+        cp.restore(node)
+        second = restored_parts()
+        assert not any(a is b for a in first for b in second)
 
     def test_digest_tracks_content(self):
         system = _reliable(path_tree(3), FaultPlan())
@@ -131,6 +179,14 @@ class TestScheduledCrashRecovery:
         assert counters["crashes_total"] == [{"labels": {"node": 2}, "value": 1}]
         assert counters["recoveries_total"] == [{"labels": {"node": 2}, "value": 1}]
         events = system.trace.events()
+        checkpoints = {}
+        for e in events:
+            if e.kind == "checkpoint":
+                checkpoints[e.node] = checkpoints.get(e.node, 0) + 1
+        assert len(checkpoints) == tree.n
+        assert counters["checkpoints_total"] == [
+            {"labels": {"node": n}, "value": k} for n, k in sorted(checkpoints.items())
+        ]
         assert any(e.kind == "node_crash" and e.node == 2 for e in events)
         assert any(e.kind == "node_recover" and e.node == 2 for e in events)
         assert any(e.kind == "checkpoint" for e in events)
