@@ -13,7 +13,7 @@ feasible: the ``reference`` object-graph runtime up to n=1023 and the
 reference backend is too slow to sweep.  Message counts must be identical
 wherever both ran (the equivalence contract); the flat backend must beat
 the reference by >=10x at the n=1023 path size (the seam's headline
-number, also recorded by ``benchmarks/trajectory.py``).
+number).
 """
 
 from __future__ import annotations

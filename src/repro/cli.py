@@ -867,7 +867,9 @@ def cmd_serve(args) -> int:
     )
     failed_combines = sum(1 for r in sup.failed if r.get("op") == COMBINE)
     combines_accounted = completed_combines + failed_combines == combines
-    ok = bool(verdict["ok"] and settled and combines_accounted)
+    # Only a killed process may fail a request or lose a message.
+    healthy = args.chaos or (not sup.failed and synthesized == 0)
+    ok = bool(verdict["ok"] and settled and combines_accounted and healthy)
     summary = {
         "nodes": config.n,
         "procs": len(config.procs),
@@ -910,6 +912,9 @@ def cmd_serve(args) -> int:
         if not settled:
             print("  WARNING: cluster did not settle before shutdown",
                   file=sys.stderr)
+        if not healthy:
+            print("  FAIL: without --chaos no request may fail and no loss "
+                  "may be synthesized", file=sys.stderr)
     return 0 if ok else 1
 
 

@@ -1,7 +1,7 @@
 """`AsyncioTransport`: the live transport behind the transport seam.
 
-Implements the shared transport interface (``send`` / ``sender`` /
-``is_quiescent`` / ``set_topology`` / ``stats`` / ``trace``) over asyncio.
+Implements the shared transport interface (``send`` / ``is_quiescent`` /
+``set_topology`` / ``stats`` / ``trace``) over asyncio.
 Two modes share one class:
 
 * **in-process** (the default, and what
@@ -35,7 +35,6 @@ import asyncio
 import json
 import struct
 from collections import deque
-from functools import partial
 from typing import Any, Callable, Deque, Dict, FrozenSet, Optional, Set, Tuple
 
 from repro.net.codec import decode_message, encode_message
@@ -209,12 +208,6 @@ class AsyncioTransport:
                     f"node {dst} is not hosted here and no remote egress is wired"
                 )
             self._remote_send(src, dst, message, seq)
-
-    def sender(self, src: int, dst: int) -> Callable[[Any], None]:
-        """A precomputed send callable for the directed edge ``src -> dst``."""
-        if (src, dst) not in self._edges:
-            raise ValueError(f"({src}, {dst}) is not a tree edge")
-        return partial(self.send, src, dst)
 
     def in_flight(self) -> int:
         return len(self._queue)

@@ -17,6 +17,8 @@ The mapping is structural, not identity-based:
 * dicts become sorted ``(key, value)`` tuples;
 * dataclasses (frozen messages, mutable requests alike) become
   ``(class name, (field, value), ...)`` tuples via their declared fields;
+* a ``random.Random`` becomes its ``getstate()``, so a generator and its
+  deep copy render equal until one of them draws;
 * anything else falls back to ``repr``.
 
 Two states hash equal iff their canonical forms are equal, so the explorer
@@ -26,6 +28,7 @@ never conflates states that differ in any protocol-relevant field.
 from __future__ import annotations
 
 import dataclasses
+import random
 from typing import Any, Hashable, Tuple
 
 __all__ = ["canonical_value"]
@@ -57,4 +60,6 @@ def canonical_value(value: Any) -> Hashable:
             (f.name, canonical_value(getattr(value, f.name)))
             for f in dataclasses.fields(value)
         )
+    if isinstance(value, random.Random):
+        return ("Random", value.getstate())
     return repr(value)

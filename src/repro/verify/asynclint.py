@@ -35,11 +35,15 @@ A *task root* is a method the class hands to the event loop as its own
 task or callback: the argument of ``ensure_future``/``create_task``, or a
 bare ``self.method`` reference passed as a callback (``start_server(
 self._serve_conn, ...)``, ``call_soon(self._pump)``, an options-dict
-value).  Writes are collected transitively through ``self.*`` helper
-calls with the same alias tracking as :mod:`repro.verify.effects`; calls
-that mutate a ``LeaseNode`` through a self-derived receiver
-(``node.write(...)``, ``self.transport.deliver_remote(...)``) count as
-writes to the pseudo-field ``"nodes"``.
+value).  Roots resolve across the linted modules too: another class's
+``self.<attr>.<method>`` passed rather than called (``NodeServer``'s
+``partial(self.transport.send, nid)``) makes ``<method>`` a root of the
+class ``self.<attr>`` is annotated with.  Writes are collected
+transitively through ``self.*`` helper calls with the same alias tracking
+as :mod:`repro.verify.effects`; calls that mutate a ``LeaseNode`` through
+a self-derived receiver (``node.write(...)``,
+``self.transport.deliver_remote(...)``) count as writes to the
+pseudo-field ``"nodes"``.
 """
 
 from __future__ import annotations
@@ -430,6 +434,45 @@ def _task_roots(cls: ast.ClassDef, methods: Dict[str, ast.FunctionDef]) -> Set[s
     return roots
 
 
+def _annotated_attrs(cls: ast.ClassDef, known: Set[str]) -> Dict[str, Set[str]]:
+    """``attr -> linted classes`` from the class's ``self.attr: T``
+    annotations, where ``T`` names the class bare or inside
+    ``Optional[...]``."""
+    out: Dict[str, Set[str]] = {}
+    for node in ast.walk(cls):
+        if isinstance(node, ast.AnnAssign):
+            attr = _self_attr(node.target)
+            if attr is not None:
+                names = {
+                    n.id for n in ast.walk(node.annotation) if isinstance(n, ast.Name)
+                }
+                out.setdefault(attr, set()).update(names & known)
+    return out
+
+
+def _passed_roots(
+    classes: Dict[str, Tuple[ast.ClassDef, Dict[str, ast.FunctionDef]]]
+) -> Dict[str, Set[str]]:
+    """Roots one class hands out for another: ``self.<attr>.<method>``
+    passed rather than called, where ``<attr>`` is annotated with a linted
+    class that has ``<method>``."""
+    roots: Dict[str, Set[str]] = {}
+    for cls, _ in classes.values():
+        types = _annotated_attrs(cls, set(classes))
+        called = {id(n.func) for n in ast.walk(cls) if isinstance(n, ast.Call)}
+        for node in ast.walk(cls):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Load)
+                and id(node) not in called
+            ):
+                attr = _self_attr(node.value)
+                for owner in types.get(attr or "", ()):
+                    if node.attr in classes[owner][1]:
+                        roots.setdefault(owner, set()).add(node.attr)
+    return roots
+
+
 def _collect_writes(
     method: str,
     methods: Dict[str, ast.FunctionDef],
@@ -512,11 +555,14 @@ def _collect_writes(
 
 
 def _lint_shared_state(
-    module: ast.Module, index: _ModuleIndex, rel: str, findings: List[Finding]
+    index: _ModuleIndex,
+    rel: str,
+    passed: Dict[str, Set[str]],
+    findings: List[Finding],
 ) -> None:
     for class_name, cls in index.classes.items():
         methods = index.methods[class_name]
-        roots = _task_roots(cls, methods)
+        roots = _task_roots(cls, methods) | passed.get(class_name, set())
         if not roots:
             continue
         writers: Dict[str, Set[str]] = {}
@@ -580,15 +626,21 @@ def run_async_lint(
             return []
         paths = _python_files(net_root)
     findings: List[Finding] = []
+    parsed: List[Tuple[str, ast.Module, _ModuleIndex]] = []
     for path in paths:
         rel = _rel(Path(path), project_root)
         module = _parse(Path(path), rel, findings)
-        if module is None:
-            continue
-        index = _ModuleIndex(module)
+        if module is not None:
+            parsed.append((rel, module, _ModuleIndex(module)))
+    passed = _passed_roots({
+        name: (cls, index.methods[name])
+        for _, _, index in parsed
+        for name, cls in index.classes.items()
+    })
+    for rel, module, index in parsed:
         _lint_blocking(module, index, rel, findings)
         _lint_leaked_tasks(module, rel, findings)
         _lint_unbounded_awaits(module, rel, findings)
-        _lint_shared_state(module, index, rel, findings)
+        _lint_shared_state(index, rel, passed, findings)
     findings.sort(key=lambda f: (f.path, f.line, f.code))
     return findings

@@ -343,6 +343,52 @@ class TestSharedState:
         assert _codes(findings) == ["PL604"]
         assert "Server.nodes" in findings[0].message
 
+    _TRANSPORT = """
+        class Transport:
+            {decl}
+            def send(self, src, dst, message):
+                self._queue.append((src, dst, message))
+                self.loop.call_soon(self._pump)
+
+            def _pump(self):
+                while self._queue:
+                    self._queue.popleft()
+    """
+    _SERVER = """
+        from functools import partial
+        from typing import Optional
+
+        from transport import Transport
+
+        class Server:
+            def __init__(self):
+                self.transport: Optional[Transport] = None
+
+            def build(self, node_ids):
+                return [partial(self.transport.send, nid) for nid in node_ids]
+    """
+
+    def test_root_handed_out_by_another_class(self, tmp_path):
+        # Transport.send is a task root only through the server's
+        # partial(self.transport.send, ...), resolved by the annotation
+        # of self.transport, in another module.
+        def lint(decl, *names):
+            sources = {"transport.py": self._TRANSPORT.format(decl=decl),
+                       "server.py": self._SERVER}
+            for name in names:
+                (tmp_path / name).write_text(textwrap.dedent(sources[name]))
+            return run_async_lint(project_root=tmp_path,
+                                  paths=[tmp_path / name for name in names])
+
+        findings = lint("", "transport.py", "server.py")
+        assert _codes(findings) == ["PL604"]
+        assert "Transport._queue" in findings[0].message
+        assert "_pump, send" in findings[0].message
+        declared = f'{ASYNC_SHARED_ATTR} = frozenset({{"_queue"}})'
+        assert lint(declared, "transport.py", "server.py") == []
+        # Without the class that hands send out, the license is stale.
+        assert _codes(lint(declared, "transport.py")) == ["PL605"]
+
     def test_single_writer_design_is_clean(self, tmp_path):
         # The fixed form: one task owns the field; others enqueue.
         findings = _lint_source(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -158,3 +159,14 @@ class TestExtendedCommands:
         assert "reliable layer held" in out
         # every swept rate kept goodput identical to the fault-free run
         assert "NO" not in out
+
+    def test_serve_without_chaos_fails_on_a_timed_out_request(self, tmp_path, capsys):
+        # No reply arrives within a microsecond, so every request times
+        # out; without --chaos a failed request fails the run.
+        rc = main(["serve", "--topology", "path", "--nodes", "2",
+                   "--length", "3", "--req-timeout", "0.000001",
+                   "--run-dir", str(tmp_path / "run"), "--json"])
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["failed_requests"] == 3
+        assert summary["verify"]["ok"] and summary["settled"]
+        assert not summary["ok"] and rc == 1

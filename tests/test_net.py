@@ -206,7 +206,7 @@ class TestAsyncioTransportUnit:
         with pytest.raises(ValueError, match="not a tree edge"):
             t.send(0, 2, Probe())
         with pytest.raises(ValueError, match="not a tree edge"):
-            t.sender(2, 0)
+            t.send(2, 0, Probe())
 
     def test_fifo_delivery_and_seq_stamps(self):
         t, received = self.make()

@@ -8,6 +8,7 @@ from repro import AggregationSystem, path_tree, random_tree, two_node_tree
 from repro.consistency import check_strict_consistency
 from repro.core.randomized import RandomBreakPolicy, random_break_factory
 from repro.offline import offline_lease_lower_bound
+from repro.recovery import Checkpoint
 from repro.workloads import adv_sequence_strong, combine, uniform_workload, write
 from repro.workloads.requests import copy_sequence
 
@@ -99,3 +100,33 @@ class TestBehaviour:
         ratio = total_cost / total_opt
         assert 1.6 <= ratio <= 2.3
         assert ratio < 2.5  # strictly better than RWW's forced ratio here
+
+
+class TestCanonicalState:
+    """A node's coin is part of its state, rendered by the generator's
+    state and never by its address."""
+
+    @staticmethod
+    def _system():
+        system = AggregationSystem(
+            path_tree(3), policy_factory=random_break_factory(0.5, base_seed=5)
+        )
+        for q in [combine(2), write(0, 1.0), write(0, 2.0), combine(1)]:
+            system.execute(q)
+        return system
+
+    def test_fork_snapshot_equals_the_original(self):
+        runtime = self._system().runtime
+        clone = runtime.fork()
+        for i in runtime.nodes:
+            assert clone.nodes[i].state_snapshot() == runtime.nodes[i].state_snapshot()
+        # One draw moves the clone's coin alone, and the snapshots part.
+        clone.nodes[1].policy.rng.random()
+        assert clone.nodes[1].state_snapshot() != runtime.nodes[1].state_snapshot()
+
+    def test_checkpoint_digest_repeats_across_runs(self):
+        digests = [
+            Checkpoint.capture(self._system().nodes[1], seq=0, time=0.0).digest
+            for _ in range(2)
+        ]
+        assert digests[0] == digests[1]
