@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from repro.analysis.statemachine import State, product_transitions, rww_step
-from repro.offline.edge_dp import TRANSITIONS, edge_dp_cost
+from repro.analysis.statemachine import State, product_transitions
+from repro.offline.edge_dp import TRANSITIONS, edge_dp_cost, rww_step
 from repro.offline.projection import Token
 
 

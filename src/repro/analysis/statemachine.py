@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Set, Tuple
 
-from repro.offline.edge_dp import TRANSITIONS
+from repro.offline.edge_dp import TRANSITIONS, rww_step
 from repro.offline.projection import NOOP, READ, WRITE_TOKEN
 
 #: (x, y): OPT lease state × RWW configuration.
@@ -49,24 +49,6 @@ class Transition:
     token: str
     rww_cost: int
     opt_cost: int
-
-
-def rww_step(y: int, token: str) -> Tuple[int, int]:
-    """RWW's deterministic configuration step: ``(new_y, cost)``.
-
-    Mirrors :func:`repro.offline.edge_dp.rww_edge_cost`'s per-token rule.
-    """
-    if token == READ:
-        return 2, (2 if y == 0 else 0)
-    if token == WRITE_TOKEN:
-        if y == 2:
-            return 1, 1
-        if y == 1:
-            return 0, 2
-        return 0, 0
-    if token == NOOP:
-        return y, 0
-    raise ValueError(f"unknown token {token!r}")
 
 
 def opt_choices(x: int, token: str) -> List[Tuple[int, int]]:

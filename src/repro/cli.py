@@ -32,8 +32,7 @@ import sys
 from typing import Optional, Sequence
 
 from repro.core.engine import AggregationSystem, ConcurrentAggregationSystem
-from repro.core.policies import ABPolicy, AlwaysLeasePolicy, NeverLeasePolicy
-from repro.core.policies import RWWPolicy
+from repro.core.policies import ABPolicy, parse_policy_spec
 from repro.core.runtime import Router
 from repro.sim.faults import FaultyNetwork
 from repro.sim.reliability import ReliableNetwork
@@ -70,29 +69,12 @@ def _binary_near(nodes: int):
 
 
 def make_policy_factory(spec: str):
-    """Parse a policy spec: rww | always | never | ab:a,b | random:p."""
-    if spec == "rww":
-        return RWWPolicy, "RWW"
-    if spec == "always":
-        return AlwaysLeasePolicy, "always-lease"
-    if spec == "never":
-        return NeverLeasePolicy, "never-lease"
-    if spec.startswith("ab:"):
-        try:
-            a_str, b_str = spec[3:].split(",")
-            a, b = int(a_str), int(b_str)
-        except ValueError:
-            raise SystemExit(f"bad ab spec {spec!r}; expected ab:a,b")
-        return (lambda: ABPolicy(a, b)), f"({a},{b})"
-    if spec.startswith("random:"):
-        from repro.core.randomized import random_break_factory
-
-        try:
-            p = float(spec[7:])
-        except ValueError:
-            raise SystemExit(f"bad random spec {spec!r}; expected random:p")
-        return random_break_factory(p), f"random-break[{p}]"
-    raise SystemExit(f"unknown policy {spec!r}")
+    """Parse a policy spec (see :func:`~repro.core.policies.parse_policy_spec`)
+    into ``(factory, name)``, exiting with its message on a bad spec."""
+    try:
+        return parse_policy_spec(spec)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
 
 
 # ----------------------------------------------------------------- helpers
@@ -792,6 +774,7 @@ def cmd_serve(args) -> int:
     from repro.workloads.requests import COMBINE, WRITE
 
     tree = make_tree(args.topology, args.nodes, args.seed)
+    make_policy_factory(args.policy)  # a bad spec exits before any spawn
     # Absolute: node processes run inside the run directory and read every
     # path from cluster.json.
     run_dir = pathlib.Path(args.run_dir).resolve()
@@ -1351,7 +1334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nodes-per-proc", type=int, default=1,
                    help="node automata hosted per OS process")
     p.add_argument("--policy", default="rww",
-                   help="rww | always | never | ab:a,b")
+                   help="rww | always | never | ab:a,b | random:p")
     p.add_argument("--length", type=int, default=40,
                    help="number of write/combine requests to drive")
     p.add_argument("--write-ratio", type=float, default=0.6)

@@ -36,15 +36,13 @@ Two backends implement it:
 name exactly like they select a transport by config.  What the flat
 backend can host is decided in one place, :func:`_flat_unsupported_reason`
 (plus the policy flattening in :mod:`repro.flat.policy`); anything else
-raises :class:`BackendUnsupported` — or, with ``fallback=True``, the
-factory silently builds the reference backend instead (the dynamic
-engine's behavior).
+raises :class:`BackendUnsupported`.  There is no fallback: the dynamic and
+concurrent engines always build the reference backend.
 """
 
 from __future__ import annotations
 
 from typing import (
-    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
@@ -59,9 +57,6 @@ from repro.obs.metrics import LATENCY_BUCKETS
 from repro.obs.monitors import expected_probe_edges
 from repro.obs.spans import RequestSpan, probe_fanout_from_events
 from repro.workloads.requests import COMBINE, WRITE, Request
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.mechanism import LeaseNode
 
 __all__ = [
     "BACKENDS",
@@ -81,10 +76,8 @@ class BackendUnsupported(RuntimeError):
     Raised by :func:`build_backend` (and by
     :class:`~repro.flat.runtime.FlatRuntime` itself) when the flat
     backend is asked for something only the reference backend provides —
-    a simulated transport stack, a custom node class, an unflattenable
-    policy, recovery management, tracing, ghost logs, a required feature
-    (``dynamic``, ``sim``, ``explore``, ``crash``), or dynamic topology
-    changes.
+    a simulated transport stack, an unflattenable policy, recovery
+    management, tracing, ghost logs, or dynamic topology changes.
     """
 
 
@@ -271,67 +264,41 @@ def build_backend(
     transport: Any = None,
     ghost: bool = False,
     trace_enabled: bool = False,
-    metrics: Any = None,
     seed: int = 0,
-    node_cls: Any = None,
     recovery: Any = None,
     cost_accounting: bool = False,
-    require: Any = (),
-    fallback: bool = False,
 ) -> Any:
     """Assemble the execution backend named ``name``.
 
     Mirrors :func:`repro.sim.transport.build_transport`: the caller
     describes *what* it needs and the factory picks the implementation.
-
-    Parameters
-    ----------
-    name:
-        ``"reference"`` or ``"flat"`` (see :data:`BACKENDS`).
-    require:
-        Feature names the caller will use beyond the core driving surface:
-        ``"dynamic"`` (attach/detach/rename, :meth:`set_topology`),
-        ``"sim"`` (a simulated transport stack), ``"crash"`` (crash /
-        recover) and ``"explore"`` (model-checker stepping and ``fork``).
-        Only the reference backend provides them.
-    fallback:
-        When the named backend cannot host the configuration, build the
-        reference backend instead of raising :class:`BackendUnsupported`.
-
-    All other parameters are the historical ``NodeRuntime`` constructor
-    surface and are forwarded verbatim.
+    ``name`` is ``"reference"`` or ``"flat"`` (see :data:`BACKENDS`); the
+    flat backend raises :class:`BackendUnsupported` for anything
+    :func:`_flat_unsupported_reason` or its policy flattening refuses.
+    The other parameters are the ``NodeRuntime`` constructor surface,
+    forwarded verbatim.
     """
-    from repro.core.mechanism import LeaseNode
-    from repro.core.runtime import NodeRuntime
-
-    if node_cls is None:
-        node_cls = LeaseNode
     if name not in BACKENDS:
         raise ValueError(f"unknown backend {name!r}; expected one of {BACKENDS}")
     if name == "flat":
         reason = _flat_unsupported_reason(
             transport=transport,
-            node_cls=node_cls,
             recovery=recovery,
             trace_enabled=trace_enabled,
             ghost=ghost,
-            require=frozenset(require),
         )
-        if reason is None:
-            from repro.flat.runtime import FlatRuntime
-
-            try:
-                return FlatRuntime(
-                    tree,
-                    op=op,
-                    policy_factory=policy_factory,
-                    metrics=metrics,
-                    cost_accounting=cost_accounting,
-                )
-            except BackendUnsupported as exc:
-                reason = str(exc)
-        if not fallback:
+        if reason is not None:
             raise BackendUnsupported(reason)
+        from repro.flat.runtime import FlatRuntime
+
+        return FlatRuntime(
+            tree,
+            op=op,
+            policy_factory=policy_factory,
+            cost_accounting=cost_accounting,
+        )
+    from repro.core.runtime import NodeRuntime
+
     return NodeRuntime(
         tree,
         op=op,
@@ -339,9 +306,7 @@ def build_backend(
         transport=transport,
         ghost=ghost,
         trace_enabled=trace_enabled,
-        metrics=metrics,
         seed=seed,
-        node_cls=node_cls,
         recovery=recovery,
         cost_accounting=cost_accounting,
     )
@@ -350,28 +315,19 @@ def build_backend(
 def _flat_unsupported_reason(
     *,
     transport: Any,
-    node_cls: Any,
     recovery: Any,
     trace_enabled: bool,
     ghost: bool,
-    require: frozenset,
 ) -> Optional[str]:
     """Why the flat backend cannot host this configuration (None = it can).
 
     The one capability check of the flat backend: its kernel runs the
     synchronous, static-topology, crash-free automaton and nothing else.
     """
-    from repro.core.mechanism import LeaseNode
-
     if transport is not None and not getattr(transport, "synchronous", True):
         return (
             "the flat backend runs the synchronous transport only; "
             "simulated stacks need the reference backend"
-        )
-    if node_cls is not LeaseNode:
-        return (
-            f"the flat backend has no node objects to subclass "
-            f"({node_cls.__name__} needs the reference backend)"
         )
     if recovery is not None:
         return "RecoveryManager needs the reference backend"
@@ -379,10 +335,4 @@ def _flat_unsupported_reason(
         return "tracing (trace_enabled) needs the reference backend"
     if ghost:
         return "ghost logs (ghost) need the reference backend"
-    if require:
-        return (
-            f"feature(s) {sorted(require)} need the reference backend "
-            "(the flat backend is static-topology, synchronous-only, "
-            "crash-free and not explorable)"
-        )
     return None

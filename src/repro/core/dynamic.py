@@ -43,7 +43,6 @@ from typing import Dict, Optional, Set, Tuple
 
 from repro.core.engine import AggregationSystem, PolicyFactory
 from repro.core.policies import RWWPolicy
-from repro.obs.metrics import MetricsRegistry
 from repro.ops.monoid import AggregationOperator
 from repro.ops.standard import SUM
 from repro.sim.transport import TransportConfig
@@ -62,14 +61,8 @@ class DynamicAggregationSystem(AggregationSystem):
     :class:`~repro.core.engine.AggregationSystem` (including telemetry).
 
     Topology changes need the reference backend's attach/detach/rename
-    primitives, so ``backend="flat"`` here *falls back* to the reference
-    backend instead of raising (``_backend_require``/``_backend_fallback``
-    below) — callers sweeping the backend axis over mixed workloads don't
-    have to special-case the dynamic engine.
+    primitives, so this engine always runs on the reference backend.
     """
-
-    _backend_require = ("dynamic",)
-    _backend_fallback = True
 
     def __init__(
         self,
@@ -77,22 +70,18 @@ class DynamicAggregationSystem(AggregationSystem):
         op: AggregationOperator = SUM,
         policy_factory: PolicyFactory = RWWPolicy,
         trace_enabled: bool = False,
-        metrics: Optional[MetricsRegistry] = None,
         transport: Optional[TransportConfig] = None,
         seed: int = 0,
         cost_accounting: bool = False,
-        backend: str = "reference",
     ) -> None:
         super().__init__(
             tree,
             op=op,
             policy_factory=policy_factory,
             trace_enabled=trace_enabled,
-            metrics=metrics,
             transport=transport,
             seed=seed,
             cost_accounting=cost_accounting,
-            backend=backend,
         )
         self._edges: Set[Tuple[int, int]] = {tuple(sorted(e)) for e in tree.edges}
         self._live: Set[int] = set(tree.nodes())

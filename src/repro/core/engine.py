@@ -13,10 +13,10 @@ Both engines are thin *drivers* over one shared execution backend,
 selected by name through :func:`~repro.core.backend.build_backend`: the
 ``reference`` backend (:class:`~repro.core.runtime.NodeRuntime`, which
 owns the node map, the message routing, the telemetry hooks and the
-quiescent-invariant battery) or the ``flat`` backend
-(:class:`~repro.flat.runtime.FlatRuntime`, the vectorized engine for
-large synchronous runs).  The transport underneath is assembled by
-:func:`~repro.sim.transport.build_transport` from a declarative
+quiescent-invariant battery) or, for the sequential engine only, the
+``flat`` backend (:class:`~repro.flat.runtime.FlatRuntime`, the
+vectorized engine for large synchronous runs).  The transport underneath
+is assembled by :func:`~repro.sim.transport.build_transport` from a declarative
 :class:`~repro.sim.transport.TransportConfig`, so either driver runs over
 any stack: the plain wire, a lossy one
 (:func:`faulty_concurrent_system`), or a lossy-but-healed one
@@ -266,9 +266,6 @@ class AggregationSystem(_RuntimeDriver):
     trace_enabled:
         Record structured trace events (also feeds the metrics bridge and
         any attached lemma monitors).
-    metrics:
-        Share an existing :class:`~repro.obs.metrics.MetricsRegistry`
-        (default: a fresh one per engine).
     transport:
         Transport-stack description (default: the synchronous FIFO queue).
         A simulated stack also works: each request then drains the event
@@ -294,12 +291,6 @@ class AggregationSystem(_RuntimeDriver):
     5.0
     """
 
-    #: Features subclasses demand from the backend (build_backend's
-    #: ``require``) and whether an unsupported request silently falls back
-    #: to the reference backend — the dynamic engine sets both.
-    _backend_require: Sequence[str] = ()
-    _backend_fallback: bool = False
-
     def __init__(
         self,
         tree: Tree,
@@ -307,10 +298,8 @@ class AggregationSystem(_RuntimeDriver):
         policy_factory: PolicyFactory = RWWPolicy,
         ghost: bool = False,
         trace_enabled: bool = False,
-        metrics: Optional[MetricsRegistry] = None,
         transport: Optional[TransportConfig] = None,
         seed: int = 0,
-        recovery: Optional[Any] = None,
         cost_accounting: bool = False,
         backend: str = "reference",
     ) -> None:
@@ -322,12 +311,8 @@ class AggregationSystem(_RuntimeDriver):
             transport=transport,
             ghost=ghost,
             trace_enabled=trace_enabled,
-            metrics=metrics,
             seed=seed,
-            recovery=recovery,
             cost_accounting=cost_accounting,
-            require=self._backend_require,
-            fallback=self._backend_fallback,
         )
         self.executed: List[Request] = []
 
@@ -395,7 +380,8 @@ class ConcurrentAggregationSystem(_RuntimeDriver):
     gets a watchdog: if it is still incomplete at the deadline it is failed
     fast with a structured :class:`CombineTimeout` instead of hanging the
     run.  Fault injection composes through ``transport`` (see
-    :func:`faulty_concurrent_system`).
+    :func:`faulty_concurrent_system`).  The concurrent model needs the
+    event heap, so this engine always runs on the reference backend.
     """
 
     def __init__(
@@ -408,31 +394,25 @@ class ConcurrentAggregationSystem(_RuntimeDriver):
         ghost: bool = True,
         trace_enabled: bool = False,
         reliability: Optional[ReliabilityConfig] = None,
-        metrics: Optional[MetricsRegistry] = None,
         transport: Optional[TransportConfig] = None,
         recovery: Optional[Any] = None,
         cost_accounting: bool = False,
-        backend: str = "reference",
     ) -> None:
         if transport is None:
             transport = TransportConfig.simulated(latency=latency, reliability=reliability)
         if not transport.needs_sim:
             raise ValueError("the concurrent engine needs a simulated transport stack")
-        # require={"sim"}: the concurrent model needs the event heap, so
-        # asking for the flat backend here fails fast with a clear reason.
         self.runtime = build_backend(
-            backend,
+            "reference",
             tree,
             op=op,
             policy_factory=policy_factory,
             transport=transport,
             ghost=ghost,
             trace_enabled=trace_enabled,
-            metrics=metrics,
             seed=seed,
             recovery=recovery,
             cost_accounting=cost_accounting,
-            require={"sim"},
         )
         self.reliability = transport.reliability
         self.timeouts: List[CombineTimeout] = []

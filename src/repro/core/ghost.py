@@ -137,20 +137,6 @@ class GhostLog:
         return len(self.log)
 
 
-def build_gwlog(log: Iterable[Request]) -> List[Request]:
-    """Section 5.3's ``u.gwlog``: the log with gathers kept as gathers.
-
-    Our :class:`GhostLog` already stores gathers (not combines) in ``log``,
-    so this is a validation pass returning a gather-write copy.
-    """
-    out: List[Request] = []
-    for q in log:
-        if q.op not in (WRITE, GATHER):
-            raise ValueError(f"log contains a non-gather-write request: {q.op}")
-        out.append(q)
-    return out
-
-
 def extend_with_missing_writes(
     base: List[Request],
     other_wlogs: Iterable[Iterable[Request]],

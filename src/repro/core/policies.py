@@ -12,7 +12,9 @@ home of the policy layer:
   and MDS-2-like extremes;
 * :class:`WriteOncePolicy` — the ``(1, 1)``-algorithm;
 * :class:`HeterogeneousABPolicy` — per-neighbor ``(a, b)`` parameters
-  (SDIMS-style per-edge tuning).
+  (SDIMS-style per-edge tuning);
+* :func:`parse_policy_spec` — the one parser of policy specs
+  (``rww``, ``ab:a,b``, ...) behind every ``--policy`` option.
 
 The mechanism invokes the policy at exactly the points marked in the
 pseudocode:
@@ -44,7 +46,7 @@ their own bookkeeping — the mechanism owns the protocol state.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.mechanism import LeaseNode
@@ -364,6 +366,38 @@ class HeterogeneousABPolicy(ABPolicy):
     def _ab(self, v: int) -> Tuple[int, int]:
         return self.params.get(v, self.default)
 
+
+def parse_policy_spec(spec: str) -> Tuple[Callable[[], LeasePolicy], str]:
+    """Parse a policy spec — ``rww | always | never | ab:a,b | random:p`` —
+    into a zero-argument factory and a display name.
+
+    Raises :class:`ValueError` on a bad spec; the CLI turns it into its
+    exit message.
+    """
+    if spec == "rww":
+        return RWWPolicy, "RWW"
+    if spec == "always":
+        return AlwaysLeasePolicy, "always-lease"
+    if spec == "never":
+        return NeverLeasePolicy, "never-lease"
+    if spec.startswith("ab:"):
+        try:
+            a_str, b_str = spec[3:].split(",")
+            a, b = int(a_str), int(b_str)
+        except ValueError:
+            raise ValueError(f"bad ab spec {spec!r}; expected ab:a,b") from None
+        return (lambda: ABPolicy(a, b)), f"({a},{b})"
+    if spec.startswith("random:"):
+        from repro.core.randomized import random_break_factory
+
+        try:
+            p = float(spec[7:])
+        except ValueError:
+            raise ValueError(f"bad random spec {spec!r}; expected random:p") from None
+        return random_break_factory(p), f"random-break[{p}]"
+    raise ValueError(f"unknown policy {spec!r}")
+
+
 __all__ = [
     "LeasePolicy",
     "RWWPolicy",
@@ -373,4 +407,5 @@ __all__ = [
     "NeverLeasePolicy",
     "WriteOncePolicy",
     "HeterogeneousABPolicy",
+    "parse_policy_spec",
 ]

@@ -135,8 +135,6 @@ class NodeRuntime(RuntimeTelemetry):
         Enable Section-5 ghost logs on every node.
     trace_enabled:
         Record structured trace events (also feeds the metrics bridge).
-    metrics:
-        Share an existing registry (default: a fresh one).
     seed:
         Engine seed; the transport inherits it unless its config pins one.
     node_cls:
@@ -158,19 +156,17 @@ class NodeRuntime(RuntimeTelemetry):
         *,
         ghost: bool = False,
         trace_enabled: bool = False,
-        metrics: Optional[MetricsRegistry] = None,
         seed: int = 0,
         node_cls: Type[LeaseNode] = LeaseNode,
         recovery: Optional[Any] = None,
         cost_accounting: bool = False,
-        clock: Optional[Callable[[], float]] = None,
     ) -> None:
         self.tree = tree
         self.op = op
         self.policy_factory = policy_factory
         self.config = transport if transport is not None else TransportConfig()
         self.trace = TraceLog(enabled=trace_enabled)
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
         self.spans: List[RequestSpan] = []
         if trace_enabled:
             self.trace.subscribe(MetricsBridge(self.metrics))
@@ -195,10 +191,9 @@ class NodeRuntime(RuntimeTelemetry):
         )
         self._ghost = ghost
         self.node_cls = node_cls
-        #: Node timestamp source: an explicit live clock domain (external
-        #: transports — wall/hybrid clocks) wins, else the virtual clock,
-        #: else the sequential model's constant 0.0.
-        self._clock: Callable[[], float] = clock if clock is not None else (
+        #: Node timestamp source: the virtual clock, else the sequential
+        #: model's constant 0.0.
+        self._clock: Callable[[], float] = (
             self._read_clock if self.sim is not None else _sequential_time
         )
         self.crashed: set = set()
@@ -270,8 +265,8 @@ class NodeRuntime(RuntimeTelemetry):
     # ------------------------------------------------------------------ clock
     @property
     def now(self) -> float:
-        """Current time: virtual under a simulator, the injected live
-        clock under an external transport, 0.0 in the sequential model."""
+        """Current time: virtual under a simulator, 0.0 in the sequential
+        model."""
         if self.sim is not None:
             return self.sim.now
         return self._clock()

@@ -13,10 +13,9 @@ call per message, so it *flattens* the policy once at construction into
 Only the built-in deterministic policies flatten; anything else — a
 user subclass with overridden hooks, :class:`~repro.core.randomized.
 RandomBreakPolicy` — raises :class:`~repro.core.backend.
-BackendUnsupported` so the factory can fall back to the reference
-backend.  The check is intentionally ``type(...) is`` exact: a subclass
-*might* behave identically, but the flat backend must never silently
-drop an override.
+BackendUnsupported`; such policies run on the reference backend.  The
+check is intentionally ``type(...) is`` exact: a subclass *might* behave
+identically, but the flat backend must never silently drop an override.
 
 ``render`` records which attribute dictionary shape
 ``state_snapshot()`` must synthesize so flat snapshots are

@@ -158,8 +158,7 @@ class FlatRuntime(RuntimeTelemetry):
     Build it through :func:`~repro.core.backend.build_backend`, which
     decides what the flat backend can host (synchronous transport, static
     topology, built-in policies, no traces, ghost logs, crashes or
-    exploration) and falls back to the reference backend when the caller
-    allows one.
+    exploration) and raises :class:`BackendUnsupported` for anything else.
     """
 
     backend_name = "flat"
@@ -173,7 +172,6 @@ class FlatRuntime(RuntimeTelemetry):
         op: Any = SUM,
         policy_factory: Callable[[], Any] = RWWPolicy,
         *,
-        metrics: Optional[MetricsRegistry] = None,
         cost_accounting: bool = False,
     ) -> None:
         self.tree = tree
@@ -181,7 +179,7 @@ class FlatRuntime(RuntimeTelemetry):
         self.policy_factory = policy_factory
         # Always disabled: the engines mark and test it around requests.
         self.trace = TraceLog(enabled=False)
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
         self.spans: List[Any] = []
         self.sim = None
         self.recovery = None

@@ -28,39 +28,18 @@ import subprocess
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, TextIO, Tuple
+from typing import Any, Dict, List, Optional, TextIO, Tuple
 
 #: Upper bound on any single control-socket await (drain): a wedged node
 #: process surfaces as an error, never as a hung supervisor (PL603).
 CTRL_IO_TIMEOUT = 10.0
 
-from repro.core.policies import AlwaysLeasePolicy, NeverLeasePolicy, RWWPolicy
+from repro.core.runtime import SYSTEM_NODE
 from repro.net.clock import HybridClock
 from repro.net.transport import read_frame, write_frame
 from repro.obs.export import _dump_line
 from repro.sim.trace import TraceEvent
 from repro.tree.topology import Tree
-
-#: The runtime's system-node id for run-scoped events (quiescent).
-SYSTEM_NODE = -1
-
-
-def policy_factory_for(spec: str) -> Callable[[], Any]:
-    """Parse a policy spec (``rww | always | never | ab:a,b``) into a
-    zero-argument factory — the serve-mode subset of the CLI's specs."""
-    if spec == "rww":
-        return RWWPolicy
-    if spec == "always":
-        return AlwaysLeasePolicy
-    if spec == "never":
-        return NeverLeasePolicy
-    if spec.startswith("ab:"):
-        from repro.core.policies import ABPolicy
-
-        a_str, b_str = spec[3:].split(",")
-        a, b = int(a_str), int(b_str)
-        return lambda: ABPolicy(a, b)
-    raise ValueError(f"unknown policy spec {spec!r}")
 
 
 def free_ports(count: int, host: str = "127.0.0.1") -> List[int]:
@@ -95,7 +74,7 @@ class ClusterConfig:
     host:
         Bind/connect address (localhost deployments).
     policy:
-        Lease policy spec (see :func:`policy_factory_for`).
+        Lease policy spec (see :func:`~repro.core.policies.parse_policy_spec`).
     lease_ttl:
         Wall-clock seconds a lease survives peer silence before the TTL
         sweep expires it (PaxosLease-style liveness).
@@ -467,7 +446,5 @@ class ClusterSupervisor:
 __all__ = [
     "ClusterConfig",
     "ClusterSupervisor",
-    "policy_factory_for",
     "free_ports",
-    "SYSTEM_NODE",
 ]

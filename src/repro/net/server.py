@@ -55,8 +55,9 @@ from typing import (
 )
 
 from repro.core.mechanism import LeaseNode
+from repro.core.policies import parse_policy_spec
 from repro.core.runtime import Router
-from repro.net.cluster import ClusterConfig, policy_factory_for
+from repro.net.cluster import ClusterConfig
 from repro.net.clock import HybridClock
 from repro.net.codec import decode_message
 from repro.net.transport import (
@@ -143,7 +144,10 @@ class NodeServer:
         self.tree = config.tree
         self.hlc = HybridClock()
         self.stats = MessageStats()
-        self.trace = TraceLog(enabled=True)
+        # Every consumer (the JSONL streamer, the metrics bridge, the
+        # recovery manager) subscribes; the streamed file is the record,
+        # so the log keeps only a one-event window in memory.
+        self.trace = TraceLog(enabled=True, max_events=1)
         self.metrics = MetricsRegistry()
         self.trace.subscribe(MetricsBridge(self.metrics))
         self.run_dir = pathlib.Path(config.run_dir)
@@ -202,13 +206,17 @@ class NodeServer:
             if peer != self.proc:
                 self._out_queues[peer] = deque()
                 self._out_wake[peer] = asyncio.Event()
-        policy_factory = policy_factory_for(self.config.policy)
+        policy_factory, _ = parse_policy_spec(self.config.policy)
+        # One policy per tree node in id order, as NodeRuntime builds them:
+        # a seeded factory (``random:p``) then gives node k the same coin
+        # in every process layout, not one seed sequence per process.
+        policies = [policy_factory() for _ in self.tree.nodes()]
         for nid in sorted(self.hosted):
             node = LeaseNode(
                 nid,
                 self.tree,
                 SUM,
-                policy_factory(),
+                policies[nid],
                 send=partial(self.transport.send, nid),
                 trace=self.trace,
                 clock=self.hlc.tick,

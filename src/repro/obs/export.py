@@ -92,13 +92,13 @@ def export_jsonl(trace: Union[TraceLog, Iterable[TraceEvent]], path: PathLike) -
     return n
 
 
-def import_jsonl(path: PathLike, max_events: Optional[int] = None) -> TraceLog:
+def import_jsonl(path: PathLike) -> TraceLog:
     """Read a JSONL trace file back into a :class:`TraceLog`.
 
     Imported events carry canonical (JSON-shaped) detail values; a
     re-export is bit-identical to the original file.
     """
-    log = TraceLog(enabled=True, max_events=max_events)
+    log = TraceLog(enabled=True)
     with Path(path).open() as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()

@@ -24,9 +24,11 @@ lease-based algorithm — and it is exactly the comparator the paper's
 potential-function proof (Figure 4/5) measures RWW against.
 
 :func:`brute_force_edge_cost` enumerates all ``2^len`` transition choices as
-a test oracle; :func:`rww_edge_cost` replays RWW's deterministic
-configuration (the ``F_RWW`` definition before Lemma 4.4) for analytic
-cross-checks against the simulator.
+a test oracle.  :func:`rww_step` is RWW's deterministic configuration step
+(the ``F_RWW`` definition before Lemma 4.4): :func:`rww_edge_cost` folds it
+over a stream for analytic cross-checks against the simulator, and the
+Figure-4 product machine (:mod:`repro.analysis.statemachine`) pairs it with
+:data:`TRANSITIONS`.
 """
 
 from __future__ import annotations
@@ -49,6 +51,30 @@ TRANSITIONS: Dict[Tuple[int, str], List[Tuple[int, int]]] = {
     (1, WRITE_TOKEN): [(1, 1), (0, 2)],
     (1, NOOP): [(1, 0), (0, 1)],
 }
+
+
+def rww_step(y: int, token: Token) -> Tuple[int, int]:
+    """RWW's configuration step on one edge: ``(new_y, cost)``.
+
+    ``y`` is ``F_RWW``: 0 = no lease, 1 = lease with one write against it,
+    2 = fresh lease.
+
+    * R: pay 2 when no lease (config 0), else 0; config becomes 2.
+    * W: config 2 -> 1 for cost 1 (update); config 1 -> 0 for cost 2
+      (update + release); config 0 stays free.
+    * N: no cost, no config change (Lemma 4.1).
+    """
+    if token == READ:
+        return 2, (2 if y == 0 else 0)
+    if token == WRITE_TOKEN:
+        if y == 2:
+            return 1, 1
+        if y == 1:
+            return 0, 2
+        return 0, 0
+    if token == NOOP:
+        return y, 0
+    raise ValueError(f"unknown token {token!r}")
 
 
 @dataclass(frozen=True)
@@ -129,33 +155,13 @@ def brute_force_edge_cost(tokens: Sequence[Token]) -> int:
     return int(best)
 
 
-#: RWW's deterministic per-request cost as a function of its configuration
-#: F_RWW in {0, 1, 2} (the definition preceding Lemma 4.4 + Figure 2).
 def rww_edge_cost(tokens: Sequence[Token]) -> int:
-    """Replay RWW's configuration over one edge's token stream analytically.
-
-    * R: pay 2 when no lease (config 0), else 0; config becomes 2.
-    * W: config 2 -> 1 for cost 1 (update); config 1 -> 0 for cost 2
-      (update + release); config 0 stays free.
-    * N: no cost, no config change (Lemma 4.1).
-    """
+    """Replay RWW's configuration over one edge's token stream analytically
+    (:func:`rww_step` from the initial config 0)."""
     config, total = 0, 0
     for tok in tokens:
-        if tok == READ:
-            if config == 0:
-                total += 2
-            config = 2
-        elif tok == WRITE_TOKEN:
-            if config == 2:
-                total += 1
-                config = 1
-            elif config == 1:
-                total += 2
-                config = 0
-        elif tok == NOOP:
-            pass
-        else:
-            raise ValueError(f"unknown token {tok!r}")
+        config, cost = rww_step(config, tok)
+        total += cost
     return total
 
 

@@ -1,7 +1,8 @@
 """The A/B performance gate's decision (``benchmarks/ab.py``).
 
 ``judge`` reads two suite ``results.json`` documents through the suite's
-own ``compare_results`` and the bounds in ``BENCHMARK.json``.  These
+own ``compare_results`` and the bounds in ``BENCHMARK.json``; ``merge``
+folds a side's three one-repeat runs into one such document.  These
 documents are synthetic: every workload, every end-to-end metric, three
 repeats each.
 """
@@ -95,3 +96,41 @@ def test_unresolved_verdicts_alone_pass():
     report = run.compare_results(results(), head, run.load_benchmark())
     assert report["verdicts"]["serve"]["throughput_rps"] == "unresolved"
     assert ab.judge(results(), head) == []
+
+
+def split_into_runs(doc):
+    """Three one-repeat documents: run *i* holds repeat *i* of every metric
+    of *doc* and a third of its requests."""
+    runs = []
+    for i in range(3):
+        part = copy.deepcopy(doc)
+        part["repeats"] = 1
+        for data in part["workloads"].values():
+            data["attempted"] //= 3
+            for section in ("end_to_end", "per_layer"):
+                for name, s in data[section].items():
+                    data[section][name] = _stat(s["values"][i:i + 1], s["unit"])
+        runs.append(part)
+    return runs
+
+
+def test_merge_concatenates_runs_and_recomputes_the_quartiles():
+    runs = split_into_runs(results())
+    runs[1]["workloads"]["serve"]["failed"] = 2
+    merged = ab.merge(runs)
+    tput = merged["workloads"]["seq"]["end_to_end"]["throughput_rps"]
+    assert tput["values"] == [
+        r["workloads"]["seq"]["end_to_end"]["throughput_rps"]["median"] for r in runs
+    ]
+    assert tput["n"] == 3 and tput["median"] == TYPICAL["throughput_rps"]
+    expected = results()
+    expected["workloads"]["serve"]["failed"] = 2
+    assert merged == expected
+
+
+def test_a_count_that_differs_between_merged_runs_fails():
+    runs = split_into_runs(results())
+    runs[1] = with_values(runs[1], "seq", "end_to_end", "msgs_per_req", (7.1,))
+    assert ab.judge(results(), ab.merge(runs)) == [
+        "seq msgs_per_req differs between repeats: [7.0652, 7.1, 7.0652]"
+    ]

@@ -1,13 +1,12 @@
-"""The execution-backend seam: factory contracts, fallbacks, and the
-flat backend's integration with the layers around the engines.
+"""The execution-backend seam: factory contracts and the flat backend's
+integration with the layers around the engines.
 
 Complements ``test_flat_equivalence.py`` (which pins observational
 equivalence on golden workloads): here we test the *seam itself* —
 :func:`~repro.core.backend.build_backend` selection and refusal rules
-(everything the flat kernel does not run — simulated transports, custom
-node classes, tracing, ghost logs, crashes, exploration, dynamic
-topology — is refused, or falls back to the reference backend) and the
-engines built on top of it.
+(everything the flat kernel does not run — simulated transports,
+unflattenable policies, tracing, ghost logs, dynamic topology — is
+refused) and the engines built on top of it.
 """
 
 from __future__ import annotations
@@ -16,8 +15,6 @@ import pytest
 
 from repro.core.backend import BACKENDS, Backend, BackendUnsupported, build_backend
 from repro.core.dynamic import DynamicAggregationSystem
-from repro.core.engine import ConcurrentAggregationSystem
-from repro.core.mechanism import LeaseNode
 from repro.core.policies import ABPolicy, RWWPolicy
 from repro.core.randomized import RandomBreakPolicy
 from repro.core.runtime import NodeRuntime
@@ -60,35 +57,10 @@ class TestFactory:
                 policy_factory=lambda: RandomBreakPolicy(0.5, seed=1),
             )
 
-    def test_flat_rejects_custom_node_class(self):
-        class Instrumented(LeaseNode):
-            pass
-
-        with pytest.raises(BackendUnsupported, match="node objects"):
-            build_backend(
-                "flat",
-                path_tree(3),
-                op=SUM,
-                policy_factory=RWWPolicy,
-                node_cls=Instrumented,
-            )
-
-    def test_flat_rejects_required_dynamic(self):
-        with pytest.raises(BackendUnsupported, match="dynamic"):
-            build_backend(
-                "flat",
-                path_tree(3),
-                op=SUM,
-                policy_factory=RWWPolicy,
-                require={"dynamic"},
-            )
-
     #: Reference-only features: keyword -> the name the refusal must carry.
     REFERENCE_ONLY = [
         ({"trace_enabled": True}, "trace_enabled"),
         ({"ghost": True}, "ghost"),
-        ({"require": {"explore"}}, "explore"),
-        ({"require": {"crash"}}, "crash"),
     ]
 
     @pytest.mark.parametrize(
@@ -99,26 +71,6 @@ class TestFactory:
             build_backend(
                 "flat", path_tree(3), op=SUM, policy_factory=RWWPolicy, **kwargs
             )
-        rt = build_backend(
-            "flat",
-            path_tree(3),
-            op=SUM,
-            policy_factory=RWWPolicy,
-            fallback=True,
-            **kwargs,
-        )
-        assert isinstance(rt, NodeRuntime)
-
-    def test_fallback_builds_reference(self):
-        rt = build_backend(
-            "flat",
-            path_tree(3),
-            op=SUM,
-            policy_factory=RWWPolicy,
-            require={"dynamic"},
-            fallback=True,
-        )
-        assert isinstance(rt, NodeRuntime)
 
     def test_flat_subclassed_builtin_policy_rejected(self):
         # type(...) is exact on purpose: a subclass might override a hook.
@@ -132,14 +84,10 @@ class TestFactory:
 
 
 class TestEngineSelection:
-    def test_concurrent_engine_rejects_flat(self):
-        with pytest.raises(BackendUnsupported):
-            ConcurrentAggregationSystem(path_tree(4), backend="flat")
-
     def test_dynamic_engine_falls_back_to_reference(self):
-        """Attach/detach/rename need per-node objects; asking the dynamic
-        engine for the flat backend silently builds the reference one."""
-        system = DynamicAggregationSystem(path_tree(4), backend="flat")
+        """Attach/detach/rename need per-node objects, so the dynamic
+        engine always runs on the reference backend."""
+        system = DynamicAggregationSystem(path_tree(4))
         assert isinstance(system.runtime, NodeRuntime)
         assert system.backend_name == "reference"
         system.execute(write(1, 3.0))

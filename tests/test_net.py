@@ -31,6 +31,8 @@ import pytest
 
 from repro.core.engine import AggregationSystem
 from repro.core.messages import Message, Probe, Release, Response, Revoke, Update
+from repro.core.policies import parse_policy_spec
+from repro.core.runtime import SYSTEM_NODE, NodeRuntime
 from repro.net import (
     AsyncioTransport,
     ClusterConfig,
@@ -45,7 +47,7 @@ from repro.net import (
     synthesize_losses,
     verify_merged,
 )
-from repro.net.cluster import SYSTEM_NODE, free_ports, policy_factory_for
+from repro.net.cluster import free_ports
 from repro.net.codec import _ENCODERS
 from repro.net.merge import load_events, merge_traces
 from repro.net.transport import (
@@ -306,9 +308,10 @@ class TestClusterConfig:
 
     def test_policy_specs(self):
         for spec in ["rww", "always", "never", "ab:1,2"]:
-            assert callable(policy_factory_for(spec))
+            factory, _ = parse_policy_spec(spec)
+            assert callable(factory)
         with pytest.raises(ValueError, match="unknown policy"):
-            policy_factory_for("sometimes")
+            parse_policy_spec("sometimes")
 
 
 # ================================================================= loopback
@@ -384,6 +387,12 @@ class TestServeRecovery:
         server = NodeServer(config, "p0", incarnation=0)
         server._build_nodes()
         peer = config.proc_of(1)
+
+        def reprobes():
+            # The streamed trace is the process's record of its events.
+            events = load_events(tmp_path / "trace-p0.0.jsonl")
+            return sum(ev.kind == "reprobe" for ev in events)
+
         try:
             # Node 0's probe to node 1 is queued and never delivered.
             server.nodes[0].begin_combine(combine(0), lambda done: None)
@@ -393,15 +402,33 @@ class TestServeRecovery:
             server.hlc.observe(server.hlc.last + 2 * ttl)
             server._down_until[peer] = time.monotonic() + 60.0
             server._sweep_body()
-            assert server.trace.count("reprobe") == 0
+            assert reprobes() == 0
             queued = len(server._out_queues[peer])
 
             del server._down_until[peer]  # the peer's hello clears it
             server._sweep_body()
-            assert server.trace.count("reprobe") == 1
+            assert reprobes() == 1
             assert len(server._out_queues[peer]) == queued + 1
         finally:
             server.streamer.close()
+
+
+class TestServePolicies:
+    async def test_random_policy_coins_follow_node_ids(self, tmp_path):
+        """Every process seeds node k's coin as one runtime over the whole
+        tree does, so no two processes share a coin stream."""
+        tree = path_tree(3)
+        config = ClusterConfig.for_tree(tree, str(tmp_path), policy="random:0.5")
+        runtime = NodeRuntime(tree, policy_factory=parse_policy_spec("random:0.5")[0])
+        for proc in config.procs:
+            server = NodeServer(config, proc, incarnation=0)
+            server._build_nodes()
+            try:
+                for nid, node in server.nodes.items():
+                    expected = runtime.nodes[nid].policy.rng.getstate()
+                    assert node.policy.rng.getstate() == expected, (proc, nid)
+            finally:
+                server.streamer.close()
 
 
 # ============================================================ process tree

@@ -21,7 +21,7 @@ from repro.core.mechanism import relay_triples
 from repro.core.messages import Probe, Update
 from repro.core.policies import NeverLeasePolicy
 from repro.core.runtime import NodeRuntime
-from repro.recovery import Checkpoint, CheckpointStore, RecoveryConfig
+from repro.recovery import Checkpoint, CheckpointStore, RecoveryConfig, RecoveryManager
 from repro.sim.channel import constant_latency
 from repro.sim.faults import FaultPlan, crash, heal, partition, recover
 from repro.sim.reliability import ReliabilityConfig
@@ -301,23 +301,29 @@ class TestStuckRoundReprobe:
         # first-seen time, so the sweep re-probed a young round.  The
         # duplicate probe's late Response could re-install a lease its
         # holder had already released (Lemma 3.1 broken for good).
+        # The manager runs on a fake clock over the runtime's parts, the
+        # way a ``serve`` process builds it over its hosted nodes.
         now = [0.0]
         runtime = NodeRuntime(
             path_tree(2), policy_factory=NeverLeasePolicy, trace_enabled=True,
-            clock=lambda: now[0], recovery=RecoveryConfig(lease_ttl=10.0),
+        )
+        recovery = RecoveryManager(
+            runtime.nodes, RecoveryConfig(lease_ttl=10.0),
+            trace=runtime.trace, metrics=runtime.metrics,
+            clock=lambda: now[0], is_down=runtime.is_down,
         )
         node = runtime.nodes[0]
         node.begin_combine(combine(0), lambda done: None)
-        runtime.recovery.sweep()  # t=0: the first round is seen
-        runtime.drain()           # ... and closes
+        recovery.sweep()  # t=0: the first round is seen
+        runtime.drain()   # ... and closes
         assert not node.pndg
         now[0] = 5.0
         node.begin_combine(combine(0), lambda done: None)
         now[0] = 10.0
-        runtime.recovery.sweep()  # a TTL after the first round's sighting
+        recovery.sweep()  # a TTL after the first round's sighting
         assert runtime.trace.count("reprobe") == 0
         now[0] = 20.0
-        runtime.recovery.sweep()  # a TTL after the new round's sighting
+        recovery.sweep()  # a TTL after the new round's sighting
         assert runtime.trace.count("reprobe") == 1
 
 
