@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
-from repro.offline.edge_dp import TRANSITIONS
+from repro.offline.edge_dp import TRANSITIONS, edge_dp_step
 from repro.offline.projection import NOOP, READ, WRITE_TOKEN
 
 TOKENS = (READ, WRITE_TOKEN, NOOP)
@@ -296,17 +296,11 @@ def _opt_cyclic_cost(cycle: Sequence[str]) -> int:
     for start in (0, 1):
         # dp[s] = min cost from `start` after processing the period, ending
         # in state s; require returning to `start` for a cyclic path.
-        dp = {start: 0}
+        dp = [inf, inf]
+        dp[start] = 0.0
         for tok in cycle:
-            ndp: Dict[int, float] = {}
-            for s, c in dp.items():
-                for s2, cost in TRANSITIONS[(s, tok)]:
-                    cand = c + cost
-                    if cand < ndp.get(s2, inf):
-                        ndp[s2] = cand
-            dp = ndp
-        if start in dp:
-            best = min(best, dp[start])
+            dp = edge_dp_step(dp, tok)[0]
+        best = min(best, dp[start])
     return int(best)
 
 

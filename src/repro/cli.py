@@ -35,7 +35,7 @@ from repro.core.engine import AggregationSystem, ConcurrentAggregationSystem
 from repro.core.policies import ABPolicy, parse_policy_spec
 from repro.core.runtime import Router
 from repro.sim.faults import FaultyNetwork
-from repro.sim.reliability import ReliableNetwork
+from repro.sim.reliability import ReliabilityConfig, ReliableNetwork
 from repro.sim.scheduler import Simulator
 from repro.tree.generators import (
     binary_tree,
@@ -292,6 +292,41 @@ def cmd_baselines(args) -> int:
     return 0
 
 
+def _gap_schedule(wl, gap: float):
+    """Fresh copies of ``wl``'s requests, initiated one every ``gap``
+    virtual-time units."""
+    from repro.core.engine import ScheduledRequest
+
+    return [
+        ScheduledRequest(time=gap * i, request=q)
+        for i, q in enumerate(copy_sequence(wl))
+    ]
+
+
+def _chaos_system(tree, args, rate: float,
+                  max_retries: int = ReliabilityConfig.max_retries, **options):
+    """The reliable concurrent system of ``chaos``, ``trace record --mode
+    chaos`` and ``perf record --mode chaos``: drops and reorders at
+    ``rate``, duplicates at half of it, a unit-latency wire, and one
+    request gap as the combine deadline.  ``options`` (tracing, cost
+    accounting) go to :func:`~repro.core.engine.reliable_concurrent_system`."""
+    from repro.core.engine import reliable_concurrent_system
+    from repro.sim.channel import constant_latency
+    from repro.sim.faults import FaultPlan
+
+    return reliable_concurrent_system(
+        tree,
+        FaultPlan(drop_prob=rate, duplicate_prob=rate / 2, reorder_prob=rate,
+                  seed=args.seed + 5),
+        config=ReliabilityConfig(base_timeout=6.0, backoff=1.5, max_timeout=20.0,
+                                 max_retries=max_retries,
+                                 combine_deadline=args.gap),
+        latency=constant_latency(1.0),
+        seed=args.seed,
+        **options,
+    )
+
+
 def _cmd_chaos_churn(args) -> int:
     """``chaos --churn``: scheduled crash/recover/partition faults plus
     message drops, healed by the reliable layer and the recovery subsystem.
@@ -303,12 +338,11 @@ def _cmd_chaos_churn(args) -> int:
     """
     import random as _random
 
-    from repro.core.engine import ScheduledRequest, reliable_concurrent_system
+    from repro.core.engine import reliable_concurrent_system
     from repro.obs.monitors import attach_standard_monitors
     from repro.recovery import RecoveryConfig
     from repro.sim.channel import constant_latency
     from repro.sim.faults import FaultPlan, crash, heal, partition, recover
-    from repro.sim.reliability import ReliabilityConfig
     from repro.verify.causal import check_trace
     from repro.workloads.requests import COMBINE
 
@@ -355,10 +389,7 @@ def _cmd_chaos_churn(args) -> int:
         ),
     )
     monitors = attach_standard_monitors(system.trace, strict=False)
-    result = system.run([
-        ScheduledRequest(time=args.gap * i, request=q)
-        for i, q in enumerate(copy_sequence(wl))
-    ])
+    result = system.run(_gap_schedule(wl, args.gap))
     system.check_quiescent_invariants()
     monitor_violations = _warn_violations(monitors)
     if args.trace_out:
@@ -413,11 +444,7 @@ def _cmd_chaos_churn(args) -> int:
 
 def cmd_chaos(args) -> int:
     from repro.consistency import check_strict_consistency
-    from repro.core.engine import ConcurrentAggregationSystem, ScheduledRequest
     from repro.sim.channel import constant_latency
-    from repro.sim.faults import FaultPlan
-    from repro.core.engine import reliable_concurrent_system
-    from repro.sim.reliability import ReliabilityConfig
 
     if args.churn:
         return _cmd_chaos_churn(args)
@@ -429,20 +456,9 @@ def cmd_chaos(args) -> int:
     tree = make_tree(args.topology, args.nodes, args.seed)
     wl = uniform_workload(tree.n, args.length, read_ratio=args.read_ratio,
                           seed=args.seed)
-    schedule = [
-        ScheduledRequest(time=args.gap * i, request=q)
-        for i, q in enumerate(copy_sequence(wl))
-    ]
     ref = ConcurrentAggregationSystem(
         tree, latency=constant_latency(1.0)
-    ).run([
-        ScheduledRequest(time=args.gap * i, request=q)
-        for i, q in enumerate(copy_sequence(wl))
-    ])
-    config = ReliabilityConfig(
-        base_timeout=6.0, backoff=1.5, max_timeout=20.0,
-        max_retries=args.max_retries, combine_deadline=args.gap,
-    )
+    ).run(_gap_schedule(wl, args.gap))
     rows = []
     plans = []
     monitor_violations = 0
@@ -451,25 +467,14 @@ def cmd_chaos(args) -> int:
         # When exporting a trace, record the highest-rate (most eventful) run
         # and attach the lemma monitors to it in warn-only mode.
         tracing = args.trace_out is not None and rate == rates[-1]
-        plan = FaultPlan(drop_prob=rate, duplicate_prob=rate / 2,
-                         reorder_prob=rate, seed=args.seed + 5)
-        plans.append(plan)
-        system = reliable_concurrent_system(
-            tree,
-            plan,
-            config=config,
-            latency=constant_latency(1.0),
-            seed=args.seed,
-            trace_enabled=tracing,
-        )
+        system = _chaos_system(tree, args, rate, max_retries=args.max_retries,
+                               trace_enabled=tracing)
+        plans.append(system.network.plan)
         if tracing:
             from repro.obs.monitors import attach_standard_monitors
 
             monitors = attach_standard_monitors(system.trace, strict=False)
-        result = system.run([
-            ScheduledRequest(time=sr.time, request=sr.request.copy_unexecuted())
-            for sr in schedule
-        ])
+        result = system.run(_gap_schedule(wl, args.gap))
         system.check_quiescent_invariants()
         if tracing:
             monitor_violations = _warn_violations(monitors)
@@ -526,13 +531,8 @@ def cmd_trace_record(args) -> int:
     yields byte-identical JSONL files — the property the CI golden-trace
     job checks with ``trace diff``.
     """
-    from repro.core.engine import ScheduledRequest
     from repro.obs.monitors import attach_standard_monitors
     from repro.report import summarize_run_data
-    from repro.sim.channel import constant_latency
-    from repro.sim.faults import FaultPlan
-    from repro.core.engine import reliable_concurrent_system
-    from repro.sim.reliability import ReliabilityConfig
 
     tree = make_tree(args.topology, args.nodes, args.seed)
     wl = uniform_workload(tree.n, args.length, read_ratio=args.read_ratio,
@@ -542,22 +542,9 @@ def cmd_trace_record(args) -> int:
         monitors = attach_standard_monitors(system.trace, strict=False)
         result = system.run(copy_sequence(wl))
     else:
-        rate = args.fault_pct / 100
-        system = reliable_concurrent_system(
-            tree,
-            FaultPlan(drop_prob=rate, duplicate_prob=rate / 2, reorder_prob=rate,
-                      seed=args.seed + 5),
-            config=ReliabilityConfig(base_timeout=6.0, backoff=1.5,
-                                     max_timeout=20.0, combine_deadline=args.gap),
-            latency=constant_latency(1.0),
-            seed=args.seed,
-            trace_enabled=True,
-        )
+        system = _chaos_system(tree, args, args.fault_pct / 100, trace_enabled=True)
         monitors = attach_standard_monitors(system.trace, strict=False)
-        result = system.run([
-            ScheduledRequest(time=args.gap * i, request=q)
-            for i, q in enumerate(copy_sequence(wl))
-        ])
+        result = system.run(_gap_schedule(wl, args.gap))
     violations = _warn_violations(monitors)
     _export_trace(system.trace, args.out)
     if args.summary_json:
@@ -935,32 +922,14 @@ PERF_ATTACH_POINTS = (
 def run_perf_workload(args):
     """Build and run the seeded workload ``perf record`` profiles (``seq``
     or ``chaos`` mode, per ``args``); returns ``(system, result)``."""
-    from repro.core.engine import ScheduledRequest, reliable_concurrent_system
-    from repro.sim.channel import constant_latency
-    from repro.sim.faults import FaultPlan
-    from repro.sim.reliability import ReliabilityConfig
-
     tree = make_tree(args.topology, args.nodes, args.seed)
     wl = uniform_workload(tree.n, args.length, read_ratio=args.read_ratio,
                           seed=args.seed)
     if args.mode == "seq":
         system = AggregationSystem(tree, cost_accounting=True)
         return system, system.run(copy_sequence(wl))
-    rate = args.fault_pct / 100
-    system = reliable_concurrent_system(
-        tree,
-        FaultPlan(drop_prob=rate, duplicate_prob=rate / 2, reorder_prob=rate,
-                  seed=args.seed + 5),
-        config=ReliabilityConfig(base_timeout=6.0, backoff=1.5,
-                                 max_timeout=20.0, combine_deadline=args.gap),
-        latency=constant_latency(1.0),
-        seed=args.seed,
-        cost_accounting=True,
-    )
-    return system, system.run([
-        ScheduledRequest(time=args.gap * i, request=q)
-        for i, q in enumerate(copy_sequence(wl))
-    ])
+    system = _chaos_system(tree, args, args.fault_pct / 100, cost_accounting=True)
+    return system, system.run(_gap_schedule(wl, args.gap))
 
 
 def cmd_perf_record(args) -> int:

@@ -380,7 +380,9 @@ class ConcurrentAggregationSystem(_RuntimeDriver):
     gets a watchdog: if it is still incomplete at the deadline it is failed
     fast with a structured :class:`CombineTimeout` instead of hanging the
     run.  Fault injection composes through ``transport`` (see
-    :func:`faulty_concurrent_system`).  The concurrent model needs the
+    :func:`faulty_concurrent_system`), which then carries the latency and
+    reliability layers itself: passing ``latency`` or ``reliability``
+    beside it raises ``ValueError``.  The concurrent model needs the
     event heap, so this engine always runs on the reference backend.
     """
 
@@ -400,7 +402,12 @@ class ConcurrentAggregationSystem(_RuntimeDriver):
     ) -> None:
         if transport is None:
             transport = TransportConfig.simulated(latency=latency, reliability=reliability)
-        if not transport.needs_sim:
+        elif latency is not None or reliability is not None:
+            raise ValueError(
+                "latency= and reliability= conflict with transport=, which "
+                "describes the whole stack; set them in its TransportConfig"
+            )
+        if transport.synchronous:
             raise ValueError("the concurrent engine needs a simulated transport stack")
         self.runtime = build_backend(
             "reference",

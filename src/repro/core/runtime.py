@@ -177,7 +177,9 @@ class NodeRuntime(RuntimeTelemetry):
         self.cost_meter: Optional[CostMeter] = (
             CostMeter(tree, self.stats) if cost_accounting else None
         )
-        self.sim: Optional[Simulator] = Simulator() if self.config.needs_sim else None
+        self.sim: Optional[Simulator] = (
+            None if self.config.synchronous else Simulator()
+        )
         self.router = Router()
         self.network: Transport = build_transport(
             self.config,

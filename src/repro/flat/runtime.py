@@ -37,12 +37,6 @@ Batched delivery & accounting
     at every batch boundary, so spans, metrics and the cost meter see
     the numbers they always saw.
 
-Per-edge update coalescing
-    :meth:`run_write_batch` applies a batch of writes with at most one
-    ``update`` per granted edge per batch (opt-in API; sequential
-    ``execute()`` semantics are never coalesced, equivalence stays
-    exact).
-
 The kernel is the only implementation of the receive transitions here.
 Configurations that need more than it provides — traces, ghost logs,
 crashes, model-checker stepping — run on the reference backend:
@@ -942,37 +936,6 @@ class FlatRuntime(RuntimeTelemetry):
 
         stats._total += nsent
         return delivered
-
-    # -------------------------------------------------- write coalescing
-    def run_write_batch(self, requests: List[Request]) -> None:
-        """Apply a batch of writes with per-edge update coalescing.
-
-        The k writes a node absorbs within one batch trigger at most
-        *one* ``update`` per granted edge — carrying the final subval —
-        instead of k.  Receivers see a single update id per edge, so
-        lease timers are charged once per batch rather than once per
-        write; final values and subsequent combine results are unchanged
-        (asserted by tests), only the write-side message pressure drops.
-
-        This is a batch-semantics extension, not the sequential model:
-        ``AggregationSystem.execute`` never coalesces, keeping the
-        flat-vs-reference equivalence exact.
-        """
-        dirty_nodes: List[int] = []
-        seen: Set[int] = set()
-        for request in requests:
-            u = request.node
-            self._p_on_write(u)
-            self._val[u] = self.op.lift(request.arg)
-            request.index = self._completed[u]
-            request.completed_at = 0.0
-            self._completed[u] += 1
-            if u not in seen:
-                seen.add(u)
-                dirty_nodes.append(u)
-        for u in dirty_nodes:
-            self._forwardupdates(u)
-        self.drain()
 
     # ------------------------------------------------------------- topology
     def set_topology(self, *args: Any, **kwargs: Any) -> None:

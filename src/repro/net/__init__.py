@@ -1,4 +1,4 @@
-"""repro.net — real asyncio multi-process deployment behind the transport seam.
+"""repro.net — real asyncio multi-process deployment of the node automata.
 
 The simulator proves the mechanism correct under a virtual clock; this
 package runs the *same node automata* as a tree of real OS processes over
@@ -6,24 +6,20 @@ framed TCP, surfaced as ``python -m repro serve``:
 
 * :mod:`repro.net.codec` — canonical wire codec for every ``Message``
   subclass (completeness enforced by protolint rule PL102);
-* :mod:`repro.net.transport` — :class:`AsyncioTransport` implementing the
-  shared transport interface over asyncio, registered with the transport
-  seam as ``kind="asyncio"`` (``TransportConfig.external("asyncio")``);
+* :mod:`repro.net.transport` — :class:`AsyncioTransport`, the live
+  transport a server process runs: the simulated transports' channel
+  contract over asyncio, with socket egress for nodes hosted elsewhere;
 * :mod:`repro.net.clock` — the hybrid logical clock, the live twin of
   the simulator's virtual time;
 * :mod:`repro.net.server` — :class:`NodeServer`, one process hosting a
-  slice of the tree and a ``RecoveryManager`` (lease TTLs, durable
-  checkpoints) over it;
+  slice of the tree, its ``AsyncioTransport`` and a ``RecoveryManager``
+  (lease TTLs, durable checkpoints) over it;
 * :mod:`repro.net.cluster` — :class:`ClusterConfig` (declarative N-node
   deployment) and :class:`ClusterSupervisor` (spawn / monitor / kill /
   restart / drive requests);
 * :mod:`repro.net.merge` — offline merge of per-process JSONL traces,
   crash-loss synthesis, and re-verification with ``check_trace`` plus the
   lemma monitors.
-
-Importing this package registers the ``asyncio`` transport kind; the seam
-also lazy-imports it on first use, so
-``TransportConfig.external("asyncio")`` works without any explicit import.
 """
 
 from __future__ import annotations
@@ -43,10 +39,7 @@ from repro.net.merge import (
     verify_merged,
 )
 from repro.net.server import NodeServer, serve_node
-from repro.net.transport import AsyncioTransport, _build_from_config
-from repro.sim.transport import register_transport_kind
-
-register_transport_kind("asyncio", _build_from_config)
+from repro.net.transport import AsyncioTransport
 
 __all__ = [
     "AsyncioTransport",

@@ -6,10 +6,9 @@ Each server process owns:
   more node ids from the :class:`~repro.net.cluster.ClusterConfig`
   assignment), driven unmodified — the automaton cannot tell sockets from
   the simulator;
-* an :class:`~repro.net.transport.AsyncioTransport` built through the
-  transport seam (``TransportConfig.external("asyncio")``): hosted-to-
-  hosted messages loop back through the asyncio event loop, everything else
-  is framed onto a per-peer-process TCP connection;
+* an :class:`~repro.net.transport.AsyncioTransport`: hosted-to-hosted
+  messages loop back through the asyncio event loop, everything else is
+  framed onto a per-peer-process TCP connection;
 * a per-process **JSONL trace stream**
   (``trace-<proc>.<incarnation>.jsonl``), flushed line-per-event so a
   SIGKILL loses at most one partial line (the merge tool tolerates torn
@@ -72,7 +71,6 @@ from repro.ops.standard import SUM
 from repro.recovery.manager import RecoveryConfig, RecoveryManager
 from repro.sim.stats import MessageStats
 from repro.sim.trace import TraceLog
-from repro.sim.transport import TransportConfig, build_transport
 from repro.workloads.requests import COMBINE, WRITE, Request
 
 #: How long a dead peer's dial is retried before frames are dropped as
@@ -186,21 +184,16 @@ class NodeServer:
     def _build_nodes(self) -> None:
         """Build the transport, a writer queue per peer process and the
         hosted nodes.  Runs on the event loop."""
-        self.transport = build_transport(
-            TransportConfig.external(
-                "asyncio",
-                options={
-                    "clock": self.hlc.tick,
-                    "local_nodes": self.hosted,
-                    "remote_send": self._remote_send,
-                    "incarnation": self.incarnation,
-                    "loop": asyncio.get_running_loop(),
-                },
-            ),
+        self.transport = AsyncioTransport(
             self.tree,
-            receiver=self.router.route,
+            self.router.route,
+            clock=self.hlc.tick,
             stats=self.stats,
             trace=self.trace,
+            local_nodes=self.hosted,
+            remote_send=self._remote_send,
+            loop=asyncio.get_running_loop(),
+            incarnation=self.incarnation,
         )
         for peer in self.config.procs:
             if peer != self.proc:

@@ -39,7 +39,6 @@ from repro.obs.export import (
     event_to_dict,
     export_jsonl,
     import_jsonl,
-    loads_events,
     top_edges,
     trace_diff,
     trace_summary,
@@ -86,7 +85,6 @@ __all__ = [
     "export_jsonl",
     "import_jsonl",
     "dumps_events",
-    "loads_events",
     "event_to_dict",
     "event_from_dict",
     "trace_diff",

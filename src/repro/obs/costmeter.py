@@ -10,8 +10,8 @@ fact over a complete recorded sequence; :class:`CostMeter` does it
 
 Per ordered edge it holds the DP frontier ``[dp0, dp1]`` (minimal cost to
 have processed the requests so far and end without/with the lease) and
-advances it by one token per observed request, using the *same*
-``TRANSITIONS`` table as the offline oracle — so at any prefix,
+advances it by one token per observed request with the offline oracle's
+own step (:func:`~repro.offline.edge_dp.edge_dp_step`) — so at any prefix,
 :meth:`CostMeter.opt_lower_bound` equals
 :func:`~repro.offline.edge_dp.offline_lease_lower_bound` on that prefix
 exactly (both are small-integer float sums; agreement is bit-for-bit, far
@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from math import inf
 from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
-from repro.offline.edge_dp import TRANSITIONS
+from repro.offline.edge_dp import edge_dp_step
 from repro.offline.projection import NOOP, READ, WRITE_TOKEN
 from repro.sim.stats import MessageStats
 from repro.tree.topology import Tree
@@ -125,35 +125,19 @@ class CostMeter:
         if request.scope is not None:
             self.skipped_scoped += 1
             return
+        dp = self._dp
+        node = request.node
         if request.op == WRITE:
-            node = request.node
             for edge, side_u in self._sides.items():
-                self._advance(edge, WRITE_TOKEN if node in side_u else NOOP)
+                token = WRITE_TOKEN if node in side_u else NOOP
+                dp[edge] = edge_dp_step(dp[edge], token)[0]
         elif request.op == COMBINE:
-            node = request.node
             for edge, side_u in self._sides.items():
                 if node not in side_u:
-                    self._advance(edge, READ)
+                    dp[edge] = edge_dp_step(dp[edge], READ)[0]
         else:
             raise ValueError(f"cannot account op {request.op!r}")
         self.requests_seen += 1
-
-    def _advance(self, edge: Edge, token: str) -> None:
-        dp = self._dp[edge]
-        n0, n1 = inf, inf
-        for s in (0, 1):
-            cur = dp[s]
-            if cur == inf:
-                continue
-            for s2, cost in TRANSITIONS[(s, token)]:
-                cand = cur + cost
-                if s2 == 0:
-                    if cand < n0:
-                        n0 = cand
-                else:
-                    if cand < n1:
-                        n1 = cand
-        dp[0], dp[1] = n0, n1
 
     # --------------------------------------------------------------- queries
     def edge_opt(self, u: int, v: int) -> int:

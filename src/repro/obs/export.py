@@ -115,17 +115,6 @@ def import_jsonl(path: PathLike) -> TraceLog:
     return log
 
 
-def loads_events(text: str) -> List[TraceEvent]:
-    """Inverse of :func:`dumps_events` (in-memory)."""
-    out: List[TraceEvent] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        out.append(event_from_dict(json.loads(line)))
-    return out
-
-
 # ------------------------------------------------------------------- diff
 def trace_diff(
     a: Union[TraceLog, Iterable[TraceEvent]],

@@ -18,10 +18,11 @@ true                  N → true                     0
 
 An offline lease-based algorithm chooses the transitions; the cheapest
 choice sequence is a two-state shortest path, computed here by
-:func:`edge_dp_cost` in O(len) time.  By the cost decomposition (Lemma 3.9)
-summing the per-edge optima over all ordered edges lower-bounds every
-lease-based algorithm — and it is exactly the comparator the paper's
-potential-function proof (Figure 4/5) measures RWW against.
+:func:`edge_dp_cost` in O(len) time, one :func:`edge_dp_step` per token.
+By the cost decomposition (Lemma 3.9) summing the per-edge optima over
+all ordered edges lower-bounds every lease-based algorithm — and it is
+exactly the comparator the paper's potential-function proof (Figure 4/5)
+measures RWW against.
 
 :func:`brute_force_edge_cost` enumerates all ``2^len`` transition choices as
 a test oracle.  :func:`rww_step` is RWW's deterministic configuration step
@@ -94,27 +95,38 @@ class EdgeDPResult:
     schedule: Tuple[int, ...]
 
 
+def edge_dp_step(dp: Sequence[float], token: Token) -> Tuple[List[float], List[int]]:
+    """One min-plus step of the Figure-2 DP over :data:`TRANSITIONS`.
+
+    ``dp[s]`` is the minimal cost of a transition-choice sequence ending
+    in lease state ``s`` (``inf``: unreachable).  Returns the frontier
+    after ``token`` and, per state, the state it was reached from (``-1``
+    when unreachable); ties keep the lower predecessor.
+    """
+    ndp = [inf, inf]
+    pred = [-1, -1]
+    for s in (0, 1):
+        cur = dp[s]
+        if cur == inf:
+            continue
+        for s2, cost in TRANSITIONS[(s, token)]:
+            cand = cur + cost
+            if cand < ndp[s2]:
+                ndp[s2] = cand
+                pred[s2] = s
+    return ndp, pred
+
+
 def edge_dp_cost(tokens: Sequence[Token]) -> EdgeDPResult:
     """Minimal offline lease cost for one ordered edge's token stream.
 
-    Standard two-state DP with backpointers; the initial state is 0
-    (no lease — Figure 1's initialization).
+    Standard two-state DP (:func:`edge_dp_step`) with backpointers; the
+    initial state is 0 (no lease — Figure 1's initialization).
     """
-    INF = inf
-    dp = [0.0, INF]  # dp[state] = min cost so far
+    dp = [0.0, inf]  # dp[state] = min cost so far
     back: List[Tuple[int, int]] = []  # back[i] = (pred_of_state0, pred_of_state1)
     for tok in tokens:
-        ndp = [INF, INF]
-        pred = [-1, -1]
-        for s in (0, 1):
-            if dp[s] == INF:
-                continue
-            for s2, cost in TRANSITIONS[(s, tok)]:
-                cand = dp[s] + cost
-                if cand < ndp[s2]:
-                    ndp[s2] = cand
-                    pred[s2] = s
-        dp = ndp
+        dp, pred = edge_dp_step(dp, tok)
         back.append((pred[0], pred[1]))
     final = 0 if dp[0] <= dp[1] else 1
     total = dp[final]

@@ -26,13 +26,16 @@ run over any stack.
 All transports share one interface: ``send(src, dst, message)``,
 ``is_quiescent()``, ``set_topology(tree)`` (dynamic attach/detach/rename
 at quiescence), and ``stats`` / ``trace`` attributes.
+
+The live TCP transport of :mod:`repro.net` honors the same channel
+contract but is not built here: a ``NodeServer`` constructs its
+``AsyncioTransport`` itself, on its own clock domain.
 """
 
 from __future__ import annotations
 
-import importlib
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Union
+from typing import Any, Optional, Union
 
 from repro.sim.channel import LatencyModel
 from repro.sim.faults import FaultPlan, FaultyNetwork
@@ -43,33 +46,8 @@ from repro.sim.stats import MessageStats
 from repro.sim.trace import TraceLog
 from repro.tree.topology import Tree
 
-#: Anything :func:`build_transport` can return.  External kinds (see
-#: :func:`register_transport_kind`) may return any object honoring the
-#: shared transport interface.
-Transport = Union[SynchronousNetwork, FaultyNetwork, ReliableNetwork, Any]
-
-#: Registry of externally provided transport stacks, keyed by
-#: :attr:`TransportConfig.kind`.  A factory has the same signature as
-#: :func:`build_transport` minus ``config`` being first.  Plugins register
-#: themselves on import; :data:`_KIND_MODULES` lets :func:`build_transport`
-#: lazily import the providing module by dotted name the first time a kind
-#: is requested, so the sim layer never *statically* imports upper layers
-#: (the PL301 inversion is preserved — this is a plugin seam, not a
-#: dependency).
-_EXTERNAL_KINDS: Dict[str, Callable[..., Any]] = {}
-_KIND_MODULES: Dict[str, str] = {"asyncio": "repro.net"}
-
-
-def register_transport_kind(kind: str, factory: Callable[..., Any]) -> None:
-    """Register an external transport stack under ``kind``.
-
-    ``factory(config, tree, receiver, *, sim, seed, stats, trace, metrics)``
-    must return an object implementing the shared transport
-    interface (``send`` / ``is_quiescent`` / ``set_topology`` / ``stats`` /
-    ``trace``).  Called by plugin packages at import time —
-    :mod:`repro.net` registers ``"asyncio"``.
-    """
-    _EXTERNAL_KINDS[kind] = factory
+#: Anything :func:`build_transport` can return.
+Transport = Union[SynchronousNetwork, FaultyNetwork, ReliableNetwork]
 
 
 @dataclass(frozen=True)
@@ -96,15 +74,6 @@ class TransportConfig:
         Seed for the transport's latency RNG streams.  ``None`` inherits
         the engine's seed (the engines preserve the historical convention:
         plain transports use ``seed``, fault-injected ones ``seed + 1``).
-    kind:
-        ``"builtin"`` selects one of the three in-repo stacks above;
-        any other value names an externally registered stack (see
-        :func:`register_transport_kind`) — e.g. ``"asyncio"`` for the
-        live socket transport of :mod:`repro.net`.  External kinds run on
-        their own clock domain and need no :class:`Simulator`.
-    options:
-        Kind-specific configuration object handed verbatim to the external
-        factory.  Unused by builtin stacks.
     """
 
     synchronous: bool = True
@@ -112,8 +81,6 @@ class TransportConfig:
     plan: Optional[FaultPlan] = None
     reliability: Optional[ReliabilityConfig] = None
     seed: Optional[int] = None
-    kind: str = "builtin"
-    options: Any = None
 
     def __post_init__(self) -> None:
         if self.synchronous and (
@@ -125,23 +92,6 @@ class TransportConfig:
                 "the synchronous transport has no virtual clock; latency, "
                 "fault and reliability layers need TransportConfig.simulated()"
             )
-        if self.kind != "builtin" and (
-            self.latency is not None
-            or self.plan is not None
-            or self.reliability is not None
-        ):
-            raise ValueError(
-                "external transport kinds bring their own wire; the "
-                "latency/fault/reliability layers are builtin-only"
-            )
-
-    @classmethod
-    def external(cls, kind: str, options: Any = None) -> "TransportConfig":
-        """An externally registered stack (e.g. ``"asyncio"``), running on
-        its own clock domain — no :class:`Simulator` involved."""
-        if kind == "builtin":
-            raise ValueError("'builtin' is not an external kind")
-        return cls(synchronous=False, kind=kind, options=options)
 
     @classmethod
     def simulated(
@@ -161,11 +111,6 @@ class TransportConfig:
             reliability=reliability,
             seed=seed,
         )
-
-    @property
-    def needs_sim(self) -> bool:
-        """Whether the stack runs under a :class:`Simulator` clock."""
-        return not self.synchronous and self.kind == "builtin"
 
 
 def build_transport(
@@ -190,28 +135,13 @@ def build_transport(
     receiver:
         ``(src, dst, message) -> None`` callback for delivered messages.
     sim:
-        Virtual clock; required iff ``config.needs_sim``.
+        Virtual clock; required iff ``config`` is not synchronous.
     seed:
         Fallback RNG seed when ``config.seed`` is ``None``.
     stats / trace / metrics:
         Shared accounting objects threaded through every layer.
     """
     transport_seed = config.seed if config.seed is not None else seed
-    if config.kind != "builtin":
-        factory = _EXTERNAL_KINDS.get(config.kind)
-        if factory is None and config.kind in _KIND_MODULES:
-            importlib.import_module(_KIND_MODULES[config.kind])
-            factory = _EXTERNAL_KINDS.get(config.kind)
-        if factory is None:
-            raise ValueError(
-                f"unknown transport kind {config.kind!r}; registered: "
-                f"{sorted(_EXTERNAL_KINDS) or '(none)'}"
-            )
-        return factory(
-            config, tree, receiver,
-            sim=sim, seed=transport_seed, stats=stats, trace=trace,
-            metrics=metrics,
-        )
     if config.synchronous:
         return SynchronousNetwork(tree, receiver, stats=stats, trace=trace)
     if sim is None:
@@ -245,5 +175,4 @@ __all__ = [
     "Transport",
     "TransportConfig",
     "build_transport",
-    "register_transport_kind",
 ]

@@ -13,6 +13,8 @@ from repro import (
     two_node_tree,
 )
 from repro.sim.channel import constant_latency, uniform_latency
+from repro.sim.reliability import ReliabilityConfig
+from repro.sim.transport import TransportConfig
 from repro.workloads import Request, combine, uniform_workload, write
 from repro.workloads.requests import copy_sequence
 
@@ -142,6 +144,27 @@ class TestConcurrentEngine:
         sched = [ScheduledRequest(time=0.0, request=Request(node=0, op="gather"))]
         with pytest.raises(ValueError):
             ConcurrentAggregationSystem(tree, ghost=False).run(sched)
+
+    def test_latency_or_reliability_beside_transport_is_refused(self):
+        """``transport=`` describes the whole stack.  A ``latency=`` or
+        ``reliability=`` passed beside it used to be dropped silently: a
+        5-unit-latency combine across a 3-node path completed at t=4.0,
+        with no reliable layer."""
+        latency = constant_latency(5.0)
+        reliability = ReliabilityConfig(combine_deadline=100.0)
+        for extra in ({"latency": latency}, {"reliability": reliability},
+                      {"latency": latency, "reliability": reliability}):
+            with pytest.raises(ValueError, match="conflict with transport="):
+                ConcurrentAggregationSystem(
+                    path_tree(3), transport=TransportConfig.simulated(), **extra
+                )
+        system = ConcurrentAggregationSystem(
+            path_tree(3),
+            transport=TransportConfig.simulated(latency=latency, reliability=reliability),
+        )
+        result = system.run([ScheduledRequest(time=0.0, request=combine(0))])
+        assert result.requests[0].completed_at == 20.0  # two hops out, two back
+        assert system.reliability is reliability
 
     def test_deterministic_given_seeds(self):
         tree = random_tree(7, 2)

@@ -9,7 +9,7 @@ per-request costs, combine results, final lease graphs, and canonical
 ``state_snapshot()`` renderings.  These tests pin that contract on the
 same six scenarios the golden-trace suite uses and on randomized
 mixed-degree trees with scoped combines, and check that profiling runs
-the same kernel and the write-batch coalescing extension.
+the same kernel.
 """
 
 from __future__ import annotations
@@ -29,10 +29,8 @@ from repro import (
     star_tree,
     two_node_tree,
 )
-from repro.core.backend import build_backend
 from repro.flat.runtime import FlatRuntime
 from repro.obs.perf import PerfProfiler
-from repro.ops.standard import SUM
 from repro.tree.generators import random_tree
 from repro.workloads import adv_sequence, uniform_workload, write
 from repro.workloads.requests import COMBINE, combine, copy_sequence, scoped_combine
@@ -169,36 +167,3 @@ def test_profiling_measures_the_kernel():
         prof.detach()
     assert profiled == run_scenario(spec, "flat")
     assert prof.phase_count["flat.kernel"] > 0
-
-
-def test_write_batch_coalesces_updates():
-    """The flat backend's batch entry point sends at most one update per
-    granted edge per dirty node — never more messages than one-at-a-time
-    execution — and converges to the same aggregate."""
-    tree = path_tree(6)
-    # Install leases everywhere first so writes actually push updates.
-    warm = [write(i % tree.n, float(i)) for i in range(12)]
-
-    def warmed(backend):
-        rt = build_backend(backend, tree, op=SUM, policy_factory=AlwaysLeasePolicy)
-        done = []
-        rt.submit_combine(combine(0), done.append)
-        rt.drain()
-        return rt
-
-    one_by_one = warmed("flat")
-    warm_cost = one_by_one.stats.total
-    for q in copy_sequence(warm):
-        one_by_one.submit_write(q)
-        one_by_one.drain()
-    serial_cost = one_by_one.stats.total - warm_cost
-
-    batched = warmed("flat")
-    assert batched.stats.total == warm_cost  # identical warm-up
-    batched.run_write_batch(copy_sequence(warm))
-    batch_cost = batched.stats.total - warm_cost
-    assert 0 < batch_cost < serial_cost  # coalescing genuinely fired
-    # Same final aggregate either way.
-    assert one_by_one._gval(0) == batched._gval(0)
-    one_by_one.check_quiescent_invariants()
-    batched.check_quiescent_invariants()

@@ -5,16 +5,18 @@ Four layers, tested bottom-up:
 * the canonical wire codec round-trips every ``Message`` subclass (and the
   registry is complete against ``Message.__subclasses__()`` — the dynamic
   twin of protolint's static PL102 rule);
-* :class:`~repro.net.transport.AsyncioTransport` in in-process mode is
-  engine-equivalent to the reference synchronous transport: same combine
-  results, same message counts, over the transport seam
-  (``TransportConfig.external("asyncio")``);
-* a real :class:`~repro.net.server.NodeServer` loopback over TCP, the
+* :class:`~repro.net.transport.AsyncioTransport` as a ``NodeServer`` runs
+  it, over a running event loop: edge validation, FIFO loopback delivery
+  with per-edge ``seq`` stamps, replay dedup and socket egress;
+* a real :class:`~repro.net.server.NodeServer` over TCP: a loopback
+  request round trip; a differential that drives one server hosting a
+  whole tree with the sequential engine's workload and requires the
+  engine's combine values, message count and delivery order; the
   server's hosted ``RecoveryManager`` (re-probes skip peers inside the
-  dial cooldown), and the full multi-process
-  :class:`~repro.net.cluster.ClusterSupervisor` path — including the chaos
-  acceptance: SIGKILL two of seven processes mid-run, restart them, and
-  re-verify the merged traces offline;
+  dial cooldown); and the full multi-process
+  :class:`~repro.net.cluster.ClusterSupervisor` path — including the
+  chaos acceptance: SIGKILL two of seven processes mid-run, restart them,
+  and re-verify the merged traces offline;
 * the clock-domain parameterization of
   :class:`~repro.sim.reliability.ReliableNetwork`: the retransmission
   backoff schedule is a pure function of the clock domain, and the default
@@ -54,18 +56,17 @@ from repro.net.transport import (
     MAX_FRAME,
     frame_bytes,
     message_frame,
-    message_from_frame,
     read_frame,
     write_frame,
 )
 from repro.sim.faults import FaultPlan
 from repro.sim.reliability import ReliabilityConfig, ReliableNetwork
 from repro.sim.scheduler import SimClock, Simulator
+from repro.sim.stats import MessageStats
 from repro.sim.trace import TraceEvent, TraceLog
-from repro.sim.transport import TransportConfig
-from repro.tree import path_tree, random_tree, star_tree
+from repro.tree import path_tree, random_tree
 from repro.workloads import Request, combine, write
-from repro.workloads.requests import COMBINE, WRITE
+from repro.workloads.requests import COMBINE, WRITE, copy_sequence
 
 from tests.conftest import make_mixed_sequence
 
@@ -192,31 +193,43 @@ class TestFrames:
         msg = Response(x=2.0, flag=True)
         frame = message_frame(1, 0, msg, seq=4, inc=2, hlc=9.5)
         assert frame["seq"] == 4 and frame["inc"] == 2
-        assert message_from_frame(frame) == msg
+        assert decode_message(frame["m"]) == msg
 
 
 # ============================================================ transport unit
-class TestAsyncioTransportUnit:
-    def make(self, n=3):
-        tree = path_tree(n)
-        received = []
-        t = AsyncioTransport(tree, lambda s, d, m: received.append((s, d, m)))
-        return t, received
+def make_transport(hosted=None):
+    """A transport on ``path_tree(3)`` as a ``NodeServer`` builds it, over
+    the running loop, hosting ``hosted`` (default: every node)."""
+    tree = path_tree(3)
+    received, egress = [], []
+    t = AsyncioTransport(
+        tree,
+        lambda s, d, m: received.append((s, d, m)),
+        clock=HybridClock().tick,
+        stats=MessageStats(),
+        trace=TraceLog(enabled=True),
+        local_nodes=set(tree.nodes()) if hosted is None else hosted,
+        remote_send=lambda s, d, m, seq: egress.append((s, d, m, seq)),
+        loop=asyncio.get_running_loop(),
+        incarnation=0,
+    )
+    return t, received, egress
 
-    def test_rejects_non_edge(self):
-        t, _ = self.make()
+
+class TestAsyncioTransportUnit:
+    async def test_rejects_non_edge(self):
+        t, _, _ = make_transport()
         with pytest.raises(ValueError, match="not a tree edge"):
             t.send(0, 2, Probe())
         with pytest.raises(ValueError, match="not a tree edge"):
             t.send(2, 0, Probe())
 
-    def test_fifo_delivery_and_seq_stamps(self):
-        t, received = self.make()
-        t.trace = TraceLog(enabled=True)
+    async def test_fifo_delivery_and_seq_stamps(self):
+        t, received, _ = make_transport()
         t.send(0, 1, Probe())
         t.send(0, 1, Revoke())
-        assert not t.is_quiescent() and t.in_flight() == 2
-        t.run_to_quiescence()
+        assert not t.is_quiescent() and received == []
+        await asyncio.sleep(0)  # one loop pass: the pump send scheduled runs
         assert t.is_quiescent()
         assert [(s, d, type(m).__name__) for s, d, m in received] == [
             (0, 1, "Probe"), (0, 1, "Revoke"),
@@ -225,8 +238,8 @@ class TestAsyncioTransportUnit:
         assert [ev.detail["seq"] for ev in sends] == [0, 1]
         assert all(ev.detail["inc"] == 0 for ev in sends)
 
-    def test_deliver_remote_dedups_replayed_frames(self):
-        t, received = self.make()
+    async def test_deliver_remote_dedups_replayed_frames(self):
+        t, received, _ = make_transport()
         t.deliver_remote(0, 1, Probe(), seq=0, inc=0)
         t.deliver_remote(0, 1, Probe(), seq=0, inc=0)  # TCP reconnect replay
         t.deliver_remote(0, 1, Revoke(), seq=1, inc=0)
@@ -235,41 +248,16 @@ class TestAsyncioTransportUnit:
         t.deliver_remote(0, 1, Probe(), seq=0, inc=1)
         assert len(received) == 3
 
-    def test_set_topology_refuses_pending_deliveries(self):
-        t, _ = self.make()
-        t.send(0, 1, Probe())
-        with pytest.raises(RuntimeError, match="pending"):
-            t.set_topology(star_tree(4))
-        t.run_to_quiescence()
-        t.set_topology(star_tree(4))
-        t.send(0, 3, Probe())
-        t.run_to_quiescence()
-
-
-# ===================================================== engine equivalence
-def run_engine(tree, seq, transport=None):
-    system = AggregationSystem(tree, transport=transport)
-    return system.run(seq)
-
-
-class TestEngineEquivalence:
-    def test_five_node_equivalence_vs_reference(self):
-        tree = random_tree(5, seed=11)
-        ref = run_engine(tree, make_mixed_sequence(5, 60, seed=7))
-        live = run_engine(tree, make_mixed_sequence(5, 60, seed=7),
-                          transport=TransportConfig.external("asyncio"))
-        assert live.combine_results() == ref.combine_results()
-        assert live.total_messages == ref.total_messages
-        for u, v in tree.directed_edges():
-            assert live.stats.edge_total(u, v) == ref.stats.edge_total(u, v)
-
-    def test_hundred_node_smoke(self):
-        tree = random_tree(100, seed=5)
-        ref = run_engine(tree, make_mixed_sequence(100, 80, seed=13))
-        live = run_engine(tree, make_mixed_sequence(100, 80, seed=13),
-                          transport=TransportConfig.external("asyncio"))
-        assert live.combine_results() == ref.combine_results()
-        assert live.total_messages == ref.total_messages
+    async def test_sends_to_unhosted_nodes_go_to_remote_egress(self):
+        t, received, egress = make_transport(hosted={0, 1})
+        t.send(1, 2, Probe())
+        t.send(1, 2, Revoke())
+        assert t.is_quiescent()
+        assert [(s, d, type(m).__name__, seq) for s, d, m, seq in egress] == [
+            (1, 2, "Probe", 0), (1, 2, "Revoke", 1),
+        ]
+        await asyncio.sleep(0)
+        assert received == []
 
 
 # ==================================================================== clock
@@ -374,6 +362,51 @@ class TestLoopbackServe:
         spans = [ev for ev in events if ev.kind == "span"]
         assert {ev.detail["op"] for ev in spans} == {WRITE, COMBINE}
         assert (tmp_path / f"metrics-p0.0.json").exists()
+
+
+class TestServeDifferential:
+    async def test_one_process_serve_matches_the_sequential_engine(self, tmp_path):
+        """One NodeServer hosting a whole tree, driven one request at a time
+        over its control connection, returns the sequential engine's
+        combine values, sends its message count and delivers its messages
+        in its order: the automaton cannot tell the live transport from
+        the simulator's."""
+        tree = random_tree(5, seed=11)
+        sequence = make_mixed_sequence(5, 60, seed=7)
+        ref = AggregationSystem(tree, trace_enabled=True).run(copy_sequence(sequence))
+        # TTLs and checkpoints far beyond the run: no sweep sends a message.
+        config = ClusterConfig.for_tree(tree, str(tmp_path), nodes_per_proc=tree.n,
+                                        lease_ttl=600.0, checkpoint_interval=600.0)
+        server = NodeServer(config, "p0", incarnation=0)
+        task = asyncio.create_task(server.run())
+        reader, writer = await _connect_with_retry(*config.addr("p0"))
+        values = []
+        try:
+            for i, q in enumerate(sequence):
+                write_frame(writer, {"type": "req", "req": i, "node": q.node,
+                                     "op": q.op, "arg": q.arg, "hlc": 0.0})
+                await writer.drain()
+                done = await asyncio.wait_for(read_frame(reader), 5.0)
+                assert done["req"] == i and "error" not in done, done
+                if q.op == COMBINE:
+                    values.append(done["value"])
+            write_frame(writer, {"type": "shutdown"})
+            await writer.drain()
+            await asyncio.wait_for(task, 10.0)
+        finally:
+            writer.close()
+            if not task.done():
+                task.cancel()
+        assert len(values) == 35
+        assert values == ref.combine_results()
+        assert server.stats.total == ref.total_messages
+        # Order and completeness too: a reordered or lost message can leave
+        # every combine value and the message count unchanged.
+        delivered = [(ev.detail["src"], ev.node, ev.detail["msg"])
+                     for ev in load_events(tmp_path / "trace-p0.0.jsonl")
+                     if ev.kind == "deliver"]
+        assert delivered == [(ev.detail["src"], ev.node, ev.detail["msg"])
+                             for ev in ref.trace.events(kind="recv")]
 
 
 class TestServeRecovery:
