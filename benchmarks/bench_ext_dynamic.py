@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from repro import path_tree, star_tree
+from repro import path_tree
 from repro.core.dynamic import DynamicAggregationSystem
 from repro.util import format_table
 from repro.workloads import combine, write

@@ -12,7 +12,6 @@ import pytest
 
 from repro import AggregationSystem, two_node_tree
 from repro.analysis import competitive_ratio
-from repro.offline import offline_lease_lower_bound
 from repro.tree.generators import standard_topologies
 from repro.util import format_table
 from repro.workloads import adv_sequence, uniform_workload, zipf_workload

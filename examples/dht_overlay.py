@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 
-from repro import AggregationSystem, combine, write
+from repro import AggregationSystem
 from repro.consistency import check_strict_consistency
 from repro.report import render_tree, summarize_run
 from repro.tree.overlay import key_tree_family, plaxton_tree, random_membership

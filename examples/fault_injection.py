@@ -16,14 +16,14 @@ Run:  python examples/fault_injection.py
 
 from __future__ import annotations
 
-from repro import path_tree, random_tree
+from repro import random_tree
 from repro.consistency import check_strict_consistency
 from repro.sim.channel import constant_latency
 from repro import faulty_concurrent_system, run_with_faults
 from repro.sim.faults import FaultPlan
 from repro.util import format_table
 from repro import ScheduledRequest
-from repro.workloads import combine, uniform_workload, write
+from repro.workloads import uniform_workload
 from repro.workloads.requests import copy_sequence
 
 

@@ -54,32 +54,14 @@ def stationary_edge_cost(
 ) -> float:
     """Long-run expected cost per *request* of the automaton under i.i.d.
     tokens with the given probabilities (mass missing from ``probs`` is a
-    no-op stay)."""
-    states = automaton.reachable_states()
-    index = {s: i for i, s in enumerate(states)}
-    k = len(states)
-    P = np.zeros((k, k))
-    c = np.zeros(k)  # expected cost paid from each state per request
-    stay = 1.0 - sum(probs.values())
-    if stay < -1e-12:
-        raise ValueError("token probabilities exceed 1")
-    for s in states:
-        i = index[s]
-        P[i, i] += max(stay, 0.0)
-        for tok, p in probs.items():
-            if p <= 0:
-                continue
-            nxt, cost = automaton.step(s, tok)
-            P[i, index[nxt]] += p
-            c[i] += p * cost
-    # Stationary distribution: solve pi (P - I) = 0 with sum(pi) = 1.
-    a = np.vstack([P.T - np.eye(k), np.ones((1, k))])
-    b = np.zeros(k + 1)
-    b[-1] = 1.0
-    pi, *_ = np.linalg.lstsq(a, b, rcond=None)
-    pi = np.clip(pi, 0.0, None)
-    pi = pi / pi.sum()
-    return float(pi @ c)
+    no-op stay): :func:`stationary_stochastic_cost` with one branch per
+    step."""
+
+    def step_dist(state, token):
+        nxt, cost = automaton.step(state, token)
+        return [(nxt, cost, 1.0)]
+
+    return stationary_stochastic_cost(automaton.reachable_states(), step_dist, probs)
 
 
 def expected_cost_per_request(
@@ -136,13 +118,17 @@ def random_break_chain(p: float):
 
 
 def stationary_stochastic_cost(states, step_dist, probs: Dict[str, float]) -> float:
-    """Like :func:`stationary_edge_cost` but for *stochastic* policies:
-    ``step_dist(state, token)`` yields (next, cost, probability) branches."""
+    """Long-run expected cost per request of a per-edge Markov policy over
+    ``states`` under i.i.d. tokens with the given probabilities (mass
+    missing from ``probs`` is a no-op stay): ``step_dist(state, token)``
+    yields (next, cost, probability) branches."""
     index = {s: i for i, s in enumerate(states)}
     k = len(states)
     P = np.zeros((k, k))
-    c = np.zeros(k)
+    c = np.zeros(k)  # expected cost paid from each state per request
     stay = 1.0 - sum(probs.values())
+    if stay < -1e-12:
+        raise ValueError("token probabilities exceed 1")
     for s in states:
         i = index[s]
         P[i, i] += max(stay, 0.0)
@@ -152,6 +138,7 @@ def stationary_stochastic_cost(states, step_dist, probs: Dict[str, float]) -> fl
             for nxt, cost, p_branch in step_dist(s, tok):
                 P[i, index[nxt]] += p_tok * p_branch
                 c[i] += p_tok * p_branch * cost
+    # Stationary distribution: solve pi (P - I) = 0 with sum(pi) = 1.
     a = np.vstack([P.T - np.eye(k), np.ones((1, k))])
     b = np.zeros(k + 1)
     b[-1] = 1.0

@@ -21,11 +21,11 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Sequence
 
+from repro.analysis.games import ttl_automaton
 from repro.baselines.base import BaselineResult
-from repro.offline.projection import READ, WRITE_TOKEN, project_all_edges
+from repro.offline.projection import project_all_edges
 from repro.ops.monoid import AggregationOperator
 from repro.ops.standard import SUM
-from repro.recovery.lease_ttl import LeaseExpiry
 from repro.tree.topology import Tree
 from repro.workloads.requests import COMBINE, WRITE, Request
 
@@ -33,25 +33,12 @@ from repro.workloads.requests import COMBINE, WRITE, Request
 def time_lease_edge_cost(tokens: Sequence[str], ttl: int) -> int:
     """Message cost of TTL leasing on one ordered edge's token stream.
 
-    Runs :class:`~repro.recovery.lease_ttl.LeaseExpiry` — the same expiry
-    law the crash-recovery manager applies over virtual time — over the
-    *token clock*: ``now`` is the token index, so a lease renewed by the
-    read at index ``i`` survives through index ``i + ttl`` inclusive
-    (every token, noops included, ages it by one) and lapses silently.
+    Runs :func:`~repro.analysis.games.ttl_automaton`, the per-edge law
+    stated above: a lease renewed by the read at index ``i`` survives
+    through index ``i + ttl`` inclusive (every token, noops included, ages
+    it by one) and lapses silently.
     """
-    if ttl < 1:
-        raise ValueError(f"ttl must be >= 1, got {ttl}")
-    expiry = LeaseExpiry(ttl)
-    lease = "lease"  # single key: one ordered edge per call
-    total = 0
-    for i, tok in enumerate(tokens):
-        if tok == READ:
-            if not expiry.alive(lease, i):
-                total += 2
-            expiry.renew(lease, i)
-        elif tok == WRITE_TOKEN and expiry.alive(lease, i):
-            total += 1
-    return total
+    return ttl_automaton(ttl).run(tokens)
 
 
 class TimeLeaseBaseline:

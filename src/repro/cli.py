@@ -732,7 +732,8 @@ def cmd_verify_causal(args) -> int:
         print(f"{args.trace_file}: {report.events} events — "
               f"{report.sends} sends / {report.deliveries} deliveries "
               f"(via {report.delivery_kind!r}), {report.writes} writes, "
-              f"{report.combines_checked} combines checked")
+              f"{report.combines_checked} combines checked, "
+              f"{report.combines_undecided} undecided")
         for v in report.violations:
             print(f"  VIOLATION [{v.kind}] {v.message}", file=sys.stderr)
         if report.ok:
@@ -873,7 +874,8 @@ def cmd_serve(args) -> int:
               f"({synthesized} crash losses synthesized) -> {merged_path}")
         causal = verdict["causal"]
         print(f"  verify: causal {'OK' if causal['ok'] else 'FAIL'} "
-              f"({causal['combines_checked']} combines checked), "
+              f"({causal['combines_checked']} combines checked, "
+              f"{causal['combines_undecided']} undecided), "
               f"monitors {'OK' if not verdict['monitor_violations'] else 'FAIL'}")
         for v in causal["violations"]:
             print(f"  VIOLATION [{v['kind']}] {v['message']}", file=sys.stderr)

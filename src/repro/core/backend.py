@@ -38,10 +38,18 @@ backend can host is decided in one place, :func:`_flat_unsupported_reason`
 (plus the policy flattening in :mod:`repro.flat.policy`); anything else
 raises :class:`BackendUnsupported`.  There is no fallback: the dynamic and
 concurrent engines always build the reference backend.
+
+Both backends and the live :class:`~repro.net.server.NodeServer` inherit
+one request lifecycle from :class:`RuntimeTelemetry`: ``emit_request_begin``
+opens a request as an :class:`OpenRequest`, and ``finish_span`` closes it,
+records its metrics and ``span`` event and returns its
+:class:`~repro.obs.spans.RequestSpan`.  The engines keep the run's spans;
+no host does, so a long-lived ``serve`` process holds none.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
@@ -62,6 +70,7 @@ __all__ = [
     "BACKENDS",
     "Backend",
     "BackendUnsupported",
+    "OpenRequest",
     "RuntimeTelemetry",
     "build_backend",
 ]
@@ -95,7 +104,6 @@ class Backend(Protocol):
     op: Any
     trace: Any
     metrics: Any
-    spans: List[RequestSpan]
     stats: Any
     crashed: set
 
@@ -118,27 +126,41 @@ class Backend(Protocol):
     def lease_graph_edges(self) -> List[tuple]: ...
 
 
-class RuntimeTelemetry:
-    """Span/metrics/trace bookkeeping shared by every backend.
+@dataclass(slots=True)
+class OpenRequest:
+    """A request opened by :meth:`RuntimeTelemetry.emit_request_begin`: its
+    initiation time, the goodput total ``m0`` and trace cursor ``mark``
+    there, and whether another request shares the ledger (``overlapped``)."""
 
-    Extracted from the historical ``NodeRuntime`` so the flat backend
-    emits byte-identical telemetry from its batch boundaries: spans are
-    built from the same goodput ledger diffs, the metrics bridge sees the
-    same typed events, and the cost meter is fed at the same initiation
-    points.  Subclasses provide ``trace``, ``metrics``, ``spans``,
-    ``stats``, ``cost_meter``, ``now`` and ``nodes``.
+    req: int
+    request: Request
+    start: float
+    m0: int
+    mark: int
+    overlapped: bool
+
+
+class RuntimeTelemetry:
+    """The request lifecycle every host shares: begin, span, metrics.
+
+    The reference and flat backends and the live ``NodeServer`` open each
+    request with :meth:`emit_request_begin` and close it with
+    :meth:`finish_span`, so spans are built from the same goodput ledger
+    diffs, the metrics see the same requests and the cost meter is fed at
+    the same initiation points on every host.  The engines keep the spans
+    these return; a host keeps none.  Subclasses provide ``trace``,
+    ``metrics``, ``stats``, ``cost_meter``, ``now`` and ``nodes``.
     """
 
     trace: Any
     metrics: Any
-    spans: List[RequestSpan]
     stats: Any
     cost_meter: Any
 
     def emit_request_begin(
         self, req_id: int, request: Request, overlapped: bool = False
-    ) -> None:
-        """Emit the ``write_begin`` / ``combine_begin`` event for a request.
+    ) -> OpenRequest:
+        """Open a request: emit its ``write_begin`` / ``combine_begin`` event.
 
         Unscoped combines initiated at quiescence are stamped with the
         expected probe frontier (Lemma 3.3) so the live monitors can
@@ -148,102 +170,83 @@ class RuntimeTelemetry:
         Also the cost meter's feed point: initiations arrive here in
         order, which is exactly the prefix ``σ`` the per-edge DP runs on.
         """
+        now = self.now
+        opened = OpenRequest(
+            req_id, request, now, self.stats.total, self.trace.mark(), overlapped
+        )
         if self.cost_meter is not None:
             self.cost_meter.observe(request)
-        if request.op == WRITE:
-            if self.trace.enabled:
-                self.trace.emit(self.now, "write_begin", request.node, req=req_id)
-        elif request.op == COMBINE and self.trace.enabled:
-            detail: Dict[str, Any] = {"req": req_id}
-            if request.scope is not None:
-                detail["scope"] = request.scope
-            elif not overlapped:
-                detail["expected_probes"] = [
-                    list(e)
-                    for e in sorted(expected_probe_edges(self.nodes, request.node))
-                ]
-            self.trace.emit(self.now, "combine_begin", request.node, **detail)
+        if self.trace.enabled:
+            if request.op == WRITE:
+                self.trace.emit(now, "write_begin", request.node, req=req_id)
+            elif request.op == COMBINE:
+                detail: Dict[str, Any] = {"req": req_id}
+                if request.scope is not None:
+                    detail["scope"] = request.scope
+                elif not overlapped:
+                    detail["expected_probes"] = [
+                        list(e)
+                        for e in sorted(expected_probe_edges(self.nodes, request.node))
+                    ]
+                self.trace.emit(now, "combine_begin", request.node, **detail)
+        return opened
 
-    def observe_span(self, span: RequestSpan) -> None:
-        """Record one completed span: spans list, metrics, trace event.
+    def finish_span(
+        self, opened: OpenRequest, failure: Optional[str] = None
+    ) -> RequestSpan:
+        """Close a request now: record its metrics, emit its ``span`` event
+        (:meth:`~repro.obs.spans.RequestSpan.to_event_detail`) and return it.
 
-        The trace detail is built by
-        :meth:`~repro.obs.spans.RequestSpan.to_event_detail`, which
-        excludes the redundant ``node`` field without mutating any dict a
-        caller might also hold (the event's own ``node`` field carries it).
-
-        The per-(node, op) instruments are memoized on the telemetry
-        instance: registry lookups canonicalize a label dict per call,
-        which is measurable on the sequential engine's per-request path.
+        Messages are the goodput delta since initiation, exact only when
+        the request ran alone (``overlapped`` flags the rest); the probe
+        fan-out of an exact combine is read from the trace since then.  The
+        per-(node, op) instruments are memoized: registry lookups
+        canonicalize a label dict per call, which is measurable on the
+        sequential engine's per-request path.
         """
-        self.spans.append(span)
+        request = opened.request
+        op = request.op
+        fanout = ()
+        exact = not opened.overlapped and failure is None
+        if exact and op == COMBINE and self.trace.enabled:
+            fanout = probe_fanout_from_events(self.trace.since(opened.mark))
+        span = RequestSpan(
+            req=opened.req,
+            node=request.node,
+            op=op,
+            start=opened.start,
+            end=self.now,
+            messages=self.stats.total - opened.m0,
+            probe_fanout=fanout,
+            scope=request.scope,
+            value=request.retval if op == COMBINE else request.arg,
+            failure=failure,
+            overlapped=opened.overlapped,
+        )
         cache = self.__dict__.get("_span_instruments")
         if cache is None:
             cache = self.__dict__["_span_instruments"] = {}
-        key = (span.node, span.op)
+        key = (span.node, op)
         pair = cache.get(key)
         if pair is None:
             pair = cache[key] = (
-                self.metrics.counter("requests_total", node=span.node, op=span.op),
-                self.metrics.histogram("messages_per_request", op=span.op),
+                self.metrics.counter("requests_total", node=span.node, op=op),
+                self.metrics.histogram("messages_per_request", op=op),
             )
         pair[0].inc()
         pair[1].observe(span.messages)
-        if span.op == COMBINE:
+        if op == COMBINE:
             latency = cache.get("combine_latency")
             if latency is None:
                 latency = cache["combine_latency"] = self.metrics.histogram(
                     "combine_latency", buckets=LATENCY_BUCKETS
                 )
             latency.observe(span.duration)
-            if span.failure is not None:
+            if failure is not None:
                 self.metrics.counter(
-                    "request_failures_total", node=span.node, kind=span.failure
+                    "request_failures_total", node=span.node, kind=failure
                 ).inc()
         self.trace.emit(span.end, "span", span.node, **span.to_event_detail())
-
-    def finish_span(
-        self,
-        req_id: int,
-        request: Request,
-        *,
-        start: float,
-        end: float,
-        m0: int,
-        mark: Optional[int] = None,
-        overlapped: bool = False,
-        failure: Optional[str] = None,
-    ) -> RequestSpan:
-        """Build and record the span of a finished request.
-
-        ``m0`` is the goodput total at initiation (message attribution is
-        exact only when the request ran alone — ``overlapped`` flags the
-        rest); ``mark`` is the trace cursor at initiation, used to recover
-        the probe fan-out of non-overlapped combines.
-        """
-        fanout = ()
-        if (
-            self.trace.enabled
-            and request.op == COMBINE
-            and not overlapped
-            and failure is None
-            and mark is not None
-        ):
-            fanout = probe_fanout_from_events(self.trace.since(mark))
-        span = RequestSpan(
-            req=req_id,
-            node=request.node,
-            op=request.op,
-            start=start,
-            end=end,
-            messages=self.stats.total - m0,
-            probe_fanout=fanout,
-            scope=request.scope,
-            value=request.retval if request.op == COMBINE else request.arg,
-            failure=failure,
-            overlapped=overlapped,
-        )
-        self.observe_span(span)
         return span
 
     def emit_quiescent(self) -> None:

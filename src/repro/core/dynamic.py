@@ -22,8 +22,11 @@ strict consistency:
   are untouched (their coverage is unaffected), so reconfiguration cost is
   proportional to the revoked lease graph, not the tree.
 
-Node ids are never reused: a removed leaf's id stays retired, and combine
-values aggregate over the *live* membership only.
+Node ids stay dense, ``0 .. n-1``: removing a leaf moves the highest id
+into the hole (:meth:`~DynamicAggregationSystem.remove_leaf` returns that
+remap), and the next :meth:`~DynamicAggregationSystem.add_leaf` takes the
+freed highest id, so ids are reused.  Combine values aggregate over the
+*live* membership only.
 
 The engine itself is a thin driver: it subclasses
 :class:`~repro.core.engine.AggregationSystem` and implements topology

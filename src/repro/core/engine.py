@@ -36,9 +36,10 @@ events — the feed the live lemma monitors and the JSONL exporter run on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.core.backend import Backend, BackendUnsupported, build_backend
+from repro.core.backend import Backend, BackendUnsupported, OpenRequest, build_backend
 from repro.core.mechanism import LeaseNode
 from repro.core.policies import RWWPolicy
 from repro.core.runtime import (
@@ -164,12 +165,14 @@ class _RuntimeDriver:
     implementation or the flat engine, selected through
     :func:`~repro.core.backend.build_backend`) owns the state; the engine
     exposes the historical public attributes (``tree``, ``nodes``,
-    ``network``, ``stats``, ``trace``, ``metrics``, ``spans``, ``sim``)
-    as read-only views onto it.
+    ``network``, ``stats``, ``trace``, ``metrics``, ``sim``) as read-only
+    views onto it.  The run's spans are the engine's own (``spans``): the
+    backend returns each from ``finish_span`` and keeps none.
     """
 
     runtime: Backend
     executed: List[Request]
+    spans: List[RequestSpan]
 
     @property
     def backend_name(self) -> str:
@@ -192,10 +195,6 @@ class _RuntimeDriver:
     @property
     def metrics(self) -> MetricsRegistry:
         return self.runtime.metrics
-
-    @property
-    def spans(self) -> List[RequestSpan]:
-        return self.runtime.spans
 
     @property
     def stats(self) -> MessageStats:
@@ -227,7 +226,7 @@ class _RuntimeDriver:
             nodes=self.runtime.nodes,
             tree=self.runtime.tree,
             timeouts=list(getattr(self, "timeouts", ())),
-            spans=list(self.runtime.spans),
+            spans=list(self.spans),
             metrics=self.runtime.metrics,
             cost=meter.report() if meter is not None else None,
         )
@@ -315,6 +314,7 @@ class AggregationSystem(_RuntimeDriver):
             cost_accounting=cost_accounting,
         )
         self.executed: List[Request] = []
+        self.spans: List[RequestSpan] = []
 
     # --------------------------------------------------------------- driving
     def execute(self, request: Request) -> Request:
@@ -329,11 +329,7 @@ class AggregationSystem(_RuntimeDriver):
         rt = self.runtime
         if not rt.is_quiescent():
             raise RuntimeError("request initiated while messages are in transit")
-        req_id = len(self.executed)
-        m0 = rt.stats.total
-        mark = rt.trace.mark()
-        start = rt.now
-        rt.emit_request_begin(req_id, request)
+        opened = rt.emit_request_begin(len(self.executed), request)
         if request.op == WRITE:
             rt.submit_write(request)
         elif request.op == COMBINE:
@@ -348,7 +344,7 @@ class AggregationSystem(_RuntimeDriver):
             raise ValueError(f"cannot execute op {request.op!r}")
         rt.drain()
         self.executed.append(request)
-        rt.finish_span(req_id, request, start=start, end=rt.now, m0=m0, mark=mark)
+        self.spans.append(rt.finish_span(opened))
         rt.emit_quiescent()
         return request
 
@@ -424,8 +420,9 @@ class ConcurrentAggregationSystem(_RuntimeDriver):
         self.reliability = transport.reliability
         self.timeouts: List[CombineTimeout] = []
         self.executed: List[Request] = []
-        self._open_spans: Dict[int, Dict[str, Any]] = {}
-        self._outstanding = 0
+        self.spans: List[RequestSpan] = []
+        #: The combines still running, by request id.
+        self._open: Dict[int, OpenRequest] = {}
         # A crash kills the victim node's open requests; close their spans
         # with a structured failure cause instead of leaving them hanging.
         self.runtime.add_failure_listener(self._on_crash_failures)
@@ -435,10 +432,9 @@ class ConcurrentAggregationSystem(_RuntimeDriver):
         callbacks will never fire)."""
         for q in failed:
             q.failed = True
-            for req_id, info in list(self._open_spans.items()):
-                if info["request"] is q:
-                    self._close_span(req_id, failure="crash")
-                    self._outstanding -= 1
+            for req_id, opened in list(self._open.items()):
+                if opened.request is q:
+                    self._finish(req_id, "crash")
                     break
 
     def _initiate(self, request: Request) -> None:
@@ -450,108 +446,68 @@ class ConcurrentAggregationSystem(_RuntimeDriver):
             # Initiating at a down node: fail fast with a structured cause
             # (its traffic would only black-hole and hang the run).
             request.failed = True
-            rt.emit_request_begin(req_id, request, overlapped=True)
-            rt.finish_span(
-                req_id,
-                request,
-                start=request.initiated_at,
-                end=rt.now,
-                m0=rt.stats.total,
-                overlapped=True,
-                failure="node_down",
-            )
+            opened = rt.emit_request_begin(req_id, request, overlapped=True)
+            self.spans.append(rt.finish_span(opened, "node_down"))
             return
         # A new initiation makes message attribution inexact for every span
         # still open (they now share the goodput ledger).
-        for info in self._open_spans.values():
-            info["overlapped"] = True
-        overlapped = self._outstanding > 0 or not rt.is_quiescent()
-        m0 = rt.stats.total
-        mark = rt.trace.mark()
-        rt.emit_request_begin(req_id, request, overlapped=overlapped)
+        for other in self._open.values():
+            other.overlapped = True
+        opened = rt.emit_request_begin(
+            req_id, request, overlapped=bool(self._open) or not rt.is_quiescent()
+        )
         if request.op == WRITE:
             rt.submit_write(request)
             # Update relays propagate after the write returns; the span
             # only sees the initiating fan-out, so flag any write whose
             # traffic mingles with in-flight messages.
-            rt.finish_span(
-                req_id,
-                request,
-                start=request.initiated_at,
-                end=rt.now,
-                m0=m0,
-                overlapped=overlapped or not rt.is_quiescent(),
-            )
+            opened.overlapped = opened.overlapped or not rt.is_quiescent()
+            self.spans.append(rt.finish_span(opened))
         elif request.op == COMBINE:
-            self._outstanding += 1
-            self._open_spans[req_id] = {
-                "request": request,
-                "m0": m0,
-                "mark": mark,
-                "start": rt.now,
-                "overlapped": overlapped,
-            }
+            self._open[req_id] = opened
             deadline = (
                 self.reliability.combine_deadline if self.reliability is not None else None
             )
-            state = {"done": False, "timed_out": False}
-
-            def done(_req: Request) -> None:
-                state["done"] = True
-                if not state["timed_out"]:
-                    if req_id not in self._open_spans:
-                        return  # already closed (e.g. killed by a crash)
-                    if self._outstanding > 1:
-                        info = self._open_spans.get(req_id)
-                        if info is not None:
-                            info["overlapped"] = True
-                    self._close_span(req_id)
-                    self._outstanding -= 1
-
             if deadline is not None:
-                deadline_at = rt.now + deadline
-
-                def watchdog(q: Request = request) -> None:
-                    if state["done"] or state["timed_out"]:
-                        return
-                    if req_id not in self._open_spans:
-                        return  # already closed (e.g. killed by a crash)
-                    state["timed_out"] = True
-                    q.failed = True
-                    self._close_span(req_id, failure="timeout")
-                    self._outstanding -= 1
-                    self.timeouts.append(
-                        CombineTimeout(
-                            request=q,
-                            node=q.node,
-                            initiated_at=q.initiated_at,
-                            deadline=deadline_at,
-                        )
-                    )
-                    rt.trace.emit(
-                        rt.now, "combine_timeout", q.node, deadline=deadline_at
-                    )
-
-                rt.sim.schedule(deadline, watchdog)
-            rt.submit_combine(request, done)
+                rt.sim.schedule(
+                    deadline, partial(self._on_deadline, req_id, rt.now + deadline)
+                )
+            rt.submit_combine(request, partial(self._on_complete, req_id))
         else:
             raise ValueError(f"cannot execute op {request.op!r}")
 
-    def _close_span(self, req_id: int, failure: Optional[str] = None) -> None:
-        """Finalize the span of an open combine (normal, timeout, or hung)."""
-        info = self._open_spans.pop(req_id, None)
-        if info is None:
-            return
-        self.runtime.finish_span(
-            req_id,
-            info["request"],
-            start=info["start"],
-            end=self.runtime.now,
-            m0=info["m0"],
-            mark=info["mark"],
-            overlapped=info["overlapped"],
-            failure=failure,
+    def _on_complete(self, req_id: int, _request: Request) -> None:
+        """A combine's completion callback; a combine that completes while
+        another is open is overlapped."""
+        opened = self._open.get(req_id)
+        if opened is None:
+            return  # already closed: timed out, or killed by a crash
+        if len(self._open) > 1:
+            opened.overlapped = True
+        self._finish(req_id)
+
+    def _on_deadline(self, req_id: int, deadline_at: float) -> None:
+        """The reliability watchdog: fail a combine still open at its
+        deadline with a structured :class:`CombineTimeout`."""
+        opened = self._open.get(req_id)
+        if opened is None:
+            return  # completed, or killed by a crash
+        q = opened.request
+        q.failed = True
+        self._finish(req_id, "timeout")
+        self.timeouts.append(
+            CombineTimeout(
+                request=q, node=q.node, initiated_at=q.initiated_at, deadline=deadline_at
+            )
         )
+        self.runtime.trace.emit(
+            self.runtime.now, "combine_timeout", q.node, deadline=deadline_at
+        )
+
+    def _finish(self, req_id: int, failure: Optional[str] = None) -> None:
+        """Close an open combine's span (completed, timed out, crashed or
+        hung)."""
+        self.spans.append(self.runtime.finish_span(self._open.pop(req_id), failure))
 
     def run(self, schedule: Sequence[ScheduledRequest]) -> ExecutionResult:
         """Initiate every scheduled request and run the network to drain.
@@ -566,8 +522,8 @@ class ConcurrentAggregationSystem(_RuntimeDriver):
         for item in schedule:
             rt.sim.schedule_at(item.time, lambda q=item.request: self._initiate(q))
         rt.sim.run()
-        if self._outstanding:
-            raise RuntimeError(f"{self._outstanding} combine(s) never completed")
+        if self._open:
+            raise RuntimeError(f"{len(self._open)} combine(s) never completed")
         if not rt.is_quiescent():
             raise RuntimeError("network failed to drain")
         rt.emit_quiescent()
@@ -674,7 +630,6 @@ def run_with_faults(system: ConcurrentAggregationSystem, schedule):
     hung = [q for q in system.executed if q.op == COMBINE and q.index < 0 and not q.failed]
     for q in hung:
         q.failed = True
-    for req_id in list(system._open_spans):
-        system._close_span(req_id, failure="hung")
-    system._outstanding = 0
+    for req_id in list(system._open):
+        system._finish(req_id, "hung")
     return system.result(), hung

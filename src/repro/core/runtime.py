@@ -3,12 +3,13 @@
 Historically each engine (sequential, concurrent, multi-attribute,
 dynamic) re-implemented the same plumbing: build a transport, wire a
 per-node ``send`` callback, dispatch received messages to
-``LeaseNode.on_message``, thread the telemetry objects through, record
-:class:`~repro.obs.spans.RequestSpan` bookkeeping, and assert the
-quiescent-state lemmas.  :class:`NodeRuntime` owns all of that exactly
-once; the engines are thin *drivers* deciding only **when** requests are
-initiated (run-to-quiescence vs. scheduled virtual times) and **what**
-extra semantics ride along (batching accounting, topology changes).
+``LeaseNode.on_message``, thread the telemetry objects through, and
+assert the quiescent-state lemmas.  :class:`NodeRuntime` owns all of that
+exactly once; the engines are thin *drivers* deciding only **when**
+requests are initiated (run-to-quiescence vs. scheduled virtual times)
+and **what** extra semantics ride along (batching accounting, topology
+changes).  Requests open and close through the lifecycle inherited from
+:class:`~repro.core.backend.RuntimeTelemetry`; the engines keep the spans.
 
 The layering (see DESIGN.md):
 
@@ -16,8 +17,8 @@ The layering (see DESIGN.md):
 
     driver       AggregationSystem | ConcurrentAggregationSystem
                  | MultiAttributeSystem | DynamicAggregationSystem
-    runtime      NodeRuntime  (node map + Router, span/metrics hooks,
-                 quiescence checking)
+    runtime      NodeRuntime  (node map + Router, the RuntimeTelemetry
+                 request lifecycle, quiescence checking)
     policy       LeasePolicy (RWW, (a,b), ...)   [inside each LeaseNode]
     transport    build_transport(TransportConfig):
                  SynchronousNetwork | FaultyNetwork
@@ -48,7 +49,6 @@ from repro.core.mechanism import LeaseNode
 from repro.core.policies import LeasePolicy, RWWPolicy
 from repro.obs.costmeter import CostMeter
 from repro.obs.metrics import MetricsBridge, MetricsRegistry
-from repro.obs.spans import RequestSpan
 from repro.ops.monoid import AggregationOperator
 from repro.ops.standard import SUM
 from repro.sim.scheduler import Simulator
@@ -167,7 +167,6 @@ class NodeRuntime(RuntimeTelemetry):
         self.config = transport if transport is not None else TransportConfig()
         self.trace = TraceLog(enabled=trace_enabled)
         self.metrics = MetricsRegistry()
-        self.spans: List[RequestSpan] = []
         if trace_enabled:
             self.trace.subscribe(MetricsBridge(self.metrics))
         self.stats = MessageStats()
@@ -384,11 +383,6 @@ class NodeRuntime(RuntimeTelemetry):
         """
         if node_id in self.crashed:
             return []
-        if not hasattr(self.network, "crash_node"):
-            raise RuntimeError(
-                "this transport does not support crash faults (needs the "
-                "synchronous stack or a simulated one)"
-            )
         if self.recovery is not None:
             self.recovery.handle_crash(node_id)
         self.crashed.add(node_id)
@@ -453,8 +447,7 @@ class NodeRuntime(RuntimeTelemetry):
         if old in self.crashed:
             self.crashed.discard(old)
             self.crashed.add(new)
-        if hasattr(self.network, "rename_node"):
-            self.network.rename_node(old, new)
+        self.network.rename_node(old, new)
         return node
 
     # ------------------------------------------------------------ invariants

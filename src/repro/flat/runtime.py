@@ -174,7 +174,6 @@ class FlatRuntime(RuntimeTelemetry):
         # Always disabled: the engines mark and test it around requests.
         self.trace = TraceLog(enabled=False)
         self.metrics = MetricsRegistry()
-        self.spans: List[Any] = []
         self.sim = None
         self.recovery = None
 

@@ -20,7 +20,10 @@ Each server process owns:
   re-probes) and its checkpoints, pickled per node as **durable
   checkpoints**; a restarted incarnation loads them and rejoins each node
   through :meth:`RecoveryManager.handle_recover` before serving;
-* per-process **metrics** (the standard
+* the simulator's request lifecycle
+  (:class:`~repro.core.backend.RuntimeTelemetry`) on the hybrid clock: the
+  same ``span`` events and request metrics, and no span list;
+* per-process **metrics** (the request metrics plus the standard
   :class:`~repro.obs.metrics.MetricsBridge` over the trace), dumped to
   ``metrics-<proc>.<incarnation>.json`` at shutdown.
 
@@ -53,6 +56,7 @@ from typing import (
     Tuple,
 )
 
+from repro.core.backend import OpenRequest, RuntimeTelemetry
 from repro.core.mechanism import LeaseNode
 from repro.core.policies import parse_policy_spec
 from repro.core.runtime import Router
@@ -108,7 +112,7 @@ class _TraceStreamer:
             pass
 
 
-class NodeServer:
+class NodeServer(RuntimeTelemetry):
     """Hosts the ``proc`` slice of a cluster on one asyncio event loop."""
 
     #: Fields deliberately mutated from more than one task (asynclint
@@ -148,6 +152,9 @@ class NodeServer:
         self.trace = TraceLog(enabled=True, max_events=1)
         self.metrics = MetricsRegistry()
         self.trace.subscribe(MetricsBridge(self.metrics))
+        # Each process sees only its own requests, and the per-edge OPT
+        # needs the whole sequence.
+        self.cost_meter = None
         self.run_dir = pathlib.Path(config.run_dir)
         self.streamer = _TraceStreamer(
             self.run_dir / f"trace-{proc}.{incarnation}.jsonl"
@@ -173,6 +180,11 @@ class NodeServer:
         self._stopping = asyncio.Event()
         self._server: Optional[asyncio.AbstractServer] = None
         self._tasks: List["asyncio.Future[Any]"] = []
+
+    @property
+    def now(self) -> float:
+        """The request lifecycle's clock: each read ticks the hybrid clock."""
+        return self.hlc.tick()
 
     def _retain(self, task: "asyncio.Future[Any]") -> None:
         """Keep a strong reference to a background task (the event loop
@@ -453,46 +465,28 @@ class NodeServer:
                                  "error": f"node {node_id} not hosted by {self.proc}",
                                  "hlc": self.hlc.tick()})
             return
-        node = self.nodes[node_id]
-        m0 = self.stats.total
-        start = self.hlc.tick()
-        if op == WRITE:
-            request = Request(node_id, WRITE, arg=frame.get("arg"),
-                              initiated_at=start)
-            self.trace.emit(start, "write_begin", node_id, req=req_id)
-            node.write(request)
-            end = self.hlc.tick()
-            self.trace.emit(
-                end, "span", node_id,
-                req=req_id, op=WRITE, start=start, end=end,
-                messages=self.stats.total - m0, overlapped=True, value=None,
-                failure=None,
-            )
-            self._reply(writer, {"type": "req_done", "req": req_id, "op": WRITE,
-                                 "node": node_id, "value": None,
+        if op not in (WRITE, COMBINE):
+            self._reply(writer, {"type": "req_done", "req": req_id,
+                                 "error": f"unknown op {op!r}",
                                  "hlc": self.hlc.tick()})
             return
-        if op == COMBINE:
-            request = Request(node_id, COMBINE, initiated_at=start)
-            self.trace.emit(start, "combine_begin", node_id, req=req_id)
+        request = Request(node_id, op, arg=frame.get("arg"))
+        # Other processes share the goodput ledger, so no span's message
+        # count is exact and no combine is stamped with a probe frontier.
+        opened = self.emit_request_begin(req_id, request, overlapped=True)
+        if op == WRITE:
+            self.nodes[node_id].write(request)
+            self._finish_request(writer, opened)
+        else:
+            self.nodes[node_id].begin_combine(
+                request, lambda _done: self._finish_request(writer, opened)
+            )
 
-            def on_complete(done: Request) -> None:
-                end = self.hlc.tick()
-                self.trace.emit(
-                    end, "span", node_id,
-                    req=req_id, op=COMBINE, start=start, end=end,
-                    messages=self.stats.total - m0, overlapped=True,
-                    value=done.retval, failure=None,
-                )
-                self._reply(writer, {"type": "req_done", "req": req_id,
-                                     "op": COMBINE, "node": node_id,
-                                     "value": done.retval,
-                                     "hlc": self.hlc.tick()})
-
-            node.begin_combine(request, on_complete)
-            return
-        self._reply(writer, {"type": "req_done", "req": req_id,
-                             "error": f"unknown op {op!r}",
+    def _finish_request(self, writer: asyncio.StreamWriter, opened: OpenRequest) -> None:
+        self.finish_span(opened)
+        q = opened.request
+        self._reply(writer, {"type": "req_done", "req": opened.req, "op": q.op,
+                             "node": q.node, "value": q.retval,
                              "hlc": self.hlc.tick()})
 
     def _send_status(self, writer: asyncio.StreamWriter) -> None:

@@ -6,9 +6,8 @@ makes node death survivable.  Three pieces:
 * :mod:`repro.recovery.checkpoint` — periodic, restorable snapshots of
   each node's *volatile* protocol state (lease tables, cached subtree
   views, policy bookkeeping) with a canonical digest;
-* :mod:`repro.recovery.lease_ttl` — the single TTL-expiry implementation
-  shared by the recovery manager's lease timers and the token-clock
-  :class:`~repro.baselines.timelease.TimeLeaseBaseline`;
+* :mod:`repro.recovery.lease_ttl` — the TTL-expiry law behind the
+  recovery manager's lease timers;
 * :mod:`repro.recovery.manager` — the :class:`RecoveryManager`, written
   once for both clock domains: ``NodeRuntime`` hosts it over the
   simulator's virtual clock, ``NodeServer`` over a ``serve`` process's

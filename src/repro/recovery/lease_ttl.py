@@ -1,4 +1,4 @@
-"""The single lease-TTL expiry implementation (two clock domains, one law).
+"""The lease-TTL expiry law of crash recovery.
 
 Classic time-based leases (Gray & Cheriton; PaxosLease-style timers)
 expire *silently*: a lease renewed at time ``t`` is valid through
@@ -6,19 +6,16 @@ expire *silently*: a lease renewed at time ``t`` is valid through
 dead holder's leases cannot wedge the grantor forever.
 
 :class:`LeaseExpiry` captures exactly that law over an abstract monotone
-clock, so both users share one implementation:
-
-* the :class:`~repro.recovery.manager.RecoveryManager` runs it over its
-  host's clock to expire leases whose peer has gone silent: the
-  simulator's **virtual clock**, or a ``serve`` process's **hybrid
-  logical clock** (``HybridClock.tick``);
-* the :class:`~repro.baselines.timelease.TimeLeaseBaseline` runs it over
-  the **token clock** of a per-edge request projection (``now`` is the
-  token index) for the offline cost accounting.
+clock.  Its user is the :class:`~repro.recovery.manager.RecoveryManager`,
+which runs it over its host's clock to expire leases whose peer has gone
+silent: the simulator's **virtual clock**, or a ``serve`` process's
+**hybrid logical clock** (``HybridClock.tick``).
 
 The boundary is inclusive: a lease renewed at ``t`` is still alive at
-``t + ttl`` exactly (matching the token-clock semantics, where a lease
-with ``ttl`` remaining tokens survives ``ttl`` decrements).
+``t + ttl`` exactly.  The offline cost accounting of
+:class:`~repro.baselines.timelease.TimeLeaseBaseline` states the same law
+on a per-edge token clock, as :func:`~repro.analysis.games.ttl_automaton`
+(a lease with ``ttl`` remaining tokens survives ``ttl`` decrements).
 """
 
 from __future__ import annotations

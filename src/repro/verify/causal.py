@@ -45,7 +45,9 @@ write must be included), writes that the combine's completion fully
 precedes are *excluded*, and anything between is optional (concurrent).
 The combine's value must be achievable as the operator product of one
 choice per node — decided by an achievable-value set DP (exact for SUM;
-floats compared after rounding).
+floats compared after rounding).  Past 200,000 achievable values the DP
+stops: the combine counts as undecided (``combines_undecided``), not as
+checked, and is no violation either.
 
 **Crash-touched nodes.**  A node with a ``node_crash`` event anywhere in
 the trace gets a *relaxed* candidate set: every one of its writes (and
@@ -109,6 +111,8 @@ class CausalReport:
     deliveries: int = 0
     writes: int = 0
     combines_checked: int = 0
+    #: Combines past the achievable-set cap: neither checked nor violated.
+    combines_undecided: int = 0
     declared_losses: int = 0
     delivery_kind: str = "recv"
     violations: List[TraceViolation] = field(default_factory=list)
@@ -124,6 +128,7 @@ class CausalReport:
             "deliveries": self.deliveries,
             "writes": self.writes,
             "combines_checked": self.combines_checked,
+            "combines_undecided": self.combines_undecided,
             "declared_losses": self.declared_losses,
             "delivery_kind": self.delivery_kind,
             "ok": self.ok,
@@ -309,8 +314,10 @@ def check_trace(
     for c in combines:
         if c.begin_pay is None:
             continue  # initiation not in the trace window
-        report.combines_checked += 1
-        _check_combine(c, writes, total_nodes, op, report, crashed)
+        if _check_combine(c, writes, total_nodes, op, report, crashed):
+            report.combines_checked += 1
+        else:
+            report.combines_undecided += 1
     return report
 
 
@@ -351,7 +358,9 @@ def _check_combine(
     op: AggregationOperator,
     report: CausalReport,
     crashed: Optional[set] = None,
-) -> None:
+) -> bool:
+    """Judge one combine; False when it stays undecided (more than
+    200,000 achievable values)."""
     assert c.begin_pay is not None
 
     def key(x: Any) -> Any:
@@ -373,7 +382,7 @@ def _check_combine(
                 step[key(s)] = s
         achievable = step
         if len(achievable) > 200_000:
-            return  # scope too large to decide; stay silent rather than guess
+            return False  # scope too large to decide; report it, never guess
     if isinstance(c.value, float):
         tol = 1e-6 * (1.0 + abs(c.value))
         ok = any(
@@ -393,3 +402,4 @@ def _check_combine(
                 ),
             )
         )
+    return True

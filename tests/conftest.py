@@ -34,7 +34,6 @@ if not _HAVE_PYTEST_ASYNCIO:
 
 from repro.tree import (
     Tree,
-    balanced_kary_tree,
     binary_tree,
     caterpillar_tree,
     path_tree,

@@ -16,14 +16,13 @@ from repro import (
     path_tree,
     random_tree,
     star_tree,
-    two_node_tree,
 )
 from repro.consistency import check_causal_consistency
 from repro.consistency.causal import causal_order_edges
 from repro.core.ghost import GhostLog, extend_with_missing_writes
 from repro.sim.channel import exponential_latency, uniform_latency
 from repro.workloads import Request, combine, uniform_workload, write
-from repro.workloads.requests import GATHER, WRITE, copy_sequence
+from repro.workloads.requests import GATHER, copy_sequence
 
 
 def poisson_schedule(workload, seed, rate=1.0):

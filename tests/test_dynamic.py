@@ -94,6 +94,20 @@ class TestRemoveLeaf:
         assert system.execute(combine(1)).retval == 9.0
         system.check_quiescent_invariants()
 
+    def test_add_after_remove_reuses_the_freed_highest_id(self):
+        """Ids stay dense: the highest id moves into the hole, and the next
+        add_leaf takes the id that move freed."""
+        system = DynamicAggregationSystem(path_tree(3))
+        system.execute(write(2, 4.0))
+        assert system.remove_leaf(0) == {2: 0}
+        assert system.add_leaf(1) == 2
+        assert system.live_nodes == {0, 1, 2}
+        # The new node 2 is fresh; the old node 2's value lives on at 0.
+        assert system.execute(combine(2)).retval == 4.0
+        system.execute(write(2, 1.0))
+        assert system.execute(combine(0)).retval == 5.0
+        system.check_quiescent_invariants()
+
     def test_remove_revokes_leases_over_departed_value(self):
         system = DynamicAggregationSystem(path_tree(3))
         system.execute(write(2, 5.0))

@@ -35,14 +35,12 @@ from repro.verify.effects import (
     FLAT_KINDS,
     MESSAGE_KINDS,
     NODE_STATE_FIELDS,
-    DerivedIndependence,
     EffectSet,
     ReactionGraph,
     check_reaction,
     derive_independence,
     derived_independence,
     extract_core_effects,
-    extract_flat_effects,
     extract_reaction_graph,
     flat_scope,
     reaction_graph_json,

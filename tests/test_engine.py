@@ -10,7 +10,6 @@ from repro import (
     ScheduledRequest,
     path_tree,
     random_tree,
-    two_node_tree,
 )
 from repro.sim.channel import constant_latency, uniform_latency
 from repro.sim.reliability import ReliabilityConfig

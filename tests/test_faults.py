@@ -10,8 +10,6 @@ rather than passing silently.
 
 from __future__ import annotations
 
-import random
-
 import pytest
 
 from repro import ConcurrentAggregationSystem, ScheduledRequest, path_tree, random_tree

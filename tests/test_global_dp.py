@@ -14,7 +14,7 @@ from repro.offline.global_dp import (
     legal_configs,
     relaxation_gap,
 )
-from repro.workloads import adv_sequence, combine, uniform_workload, write
+from repro.workloads import combine, uniform_workload, write
 from repro.workloads.requests import Request, copy_sequence
 
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import pytest
 
 from repro import (
@@ -13,7 +11,6 @@ from repro import (
     MIN,
     AggregationSystem,
     ConcurrentAggregationSystem,
-    RWWPolicy,
     ScheduledRequest,
     balanced_kary_tree,
     binary_tree,

@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import (
-    ABPolicy,
     AggregationSystem,
     AlwaysLeasePolicy,
     NeverLeasePolicy,

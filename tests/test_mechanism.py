@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import AggregationSystem, MIN, SUM
+from repro import MIN, SUM
 from repro.core.messages import Probe, Release, Response, Update
 from repro.core.mechanism import LeaseNode, relay_triples
 from repro.core.policies import RWWPolicy

@@ -18,9 +18,8 @@ from repro import (
     path_tree,
     random_tree,
     star_tree,
-    two_node_tree,
 )
-from repro.core.messages import Release, Response, Update
+from repro.core.messages import Release, Response
 from repro.core.mechanism import LeaseNode, relay_triples
 from repro.core.policies import RWWPolicy as RWW
 from repro.offline.global_dp import global_offline_cost

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from repro import AVERAGE, COUNT, MAX, MIN, SUM, AlwaysLeasePolicy, NeverLeasePolicy
+from repro import AVERAGE, COUNT, MAX, MIN, SUM, NeverLeasePolicy
 from repro.core.multiattr import MultiAttributeSystem
 from repro.tree import binary_tree, path_tree, star_tree
 

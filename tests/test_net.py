@@ -402,11 +402,19 @@ class TestServeDifferential:
         assert server.stats.total == ref.total_messages
         # Order and completeness too: a reordered or lost message can leave
         # every combine value and the message count unchanged.
+        events = load_events(tmp_path / "trace-p0.0.jsonl")
         delivered = [(ev.detail["src"], ev.node, ev.detail["msg"])
-                     for ev in load_events(tmp_path / "trace-p0.0.jsonl")
-                     if ev.kind == "deliver"]
+                     for ev in events if ev.kind == "deliver"]
         assert delivered == [(ev.detail["src"], ev.node, ev.detail["msg"])
                              for ev in ref.trace.events(kind="recv")]
+        # One request lifecycle on both hosts: the same request metrics, and
+        # the same span per request, write values included.
+        metrics = json.loads((tmp_path / "metrics-p0.0.json").read_text())
+        assert (metrics["counters"]["requests_total"]
+                == ref.metrics.snapshot()["counters"]["requests_total"])
+        assert [(ev.node, ev.detail["op"], ev.detail.get("value"))
+                for ev in events if ev.kind == "span"] == [
+            (s.node, s.op, s.value) for s in ref.spans]
 
 
 class TestServeRecovery:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import AggregationSystem, path_tree, random_tree, star_tree, two_node_tree
+from repro import AggregationSystem, path_tree, random_tree, two_node_tree
 from repro.offline import (
     NOOP,
     READ,

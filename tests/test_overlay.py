@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from repro import AggregationSystem
 from repro.consistency import check_strict_consistency
 from repro.tree.overlay import (
-    OverlayTree,
     common_prefix_length,
     key_tree_family,
     plaxton_tree,

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro import AggregationSystem, binary_tree, combine, path_tree, star_tree, write
 from repro.report import busiest_edges, render_lease_graph, render_tree, summarize_run
 

@@ -14,7 +14,6 @@ from repro import (
     ABPolicy,
     AggregationSystem,
     ConcurrentAggregationSystem,
-    RWWPolicy,
     ScheduledRequest,
     path_tree,
     random_tree,

@@ -6,7 +6,7 @@ import pytest
 
 from repro import AggregationSystem, random_tree
 from repro.workloads import combine, uniform_workload, write
-from repro.workloads.requests import Request, copy_sequence
+from repro.workloads.requests import copy_sequence
 from repro.workloads.traces import (
     dumps_trace,
     load_trace,

@@ -29,7 +29,7 @@ from repro.obs.export import export_jsonl, import_jsonl
 from repro.sim.channel import constant_latency
 from repro.sim.faults import FaultPlan
 from repro.sim.reliability import ReliabilityConfig
-from repro.sim.trace import EVENT_SCHEMAS
+from repro.sim.trace import EVENT_SCHEMAS, TraceEvent
 from repro.tree.generators import path_tree, star_tree
 from repro.util import canonical_value
 from repro.verify.causal import check_trace
@@ -484,6 +484,21 @@ class TestCausalTraceChecker:
         report = check_trace(list(system.trace))
         assert report.delivery_kind == "deliver"
         assert report.ok, [v.to_dict() for v in report.violations]
+
+    def test_combine_past_the_achievable_cap_is_undecided(self):
+        """Five nodes write eleven times each, concurrently with one combine:
+        12**5 achievable sums pass the 200,000 cap, so the combine is
+        reported undecided and never counted as checked."""
+        events = [TraceEvent(0.0, "combine_begin", 0, {"req": 0})]
+        for node in range(1, 6):
+            events += [TraceEvent(0.0, "write_done", node, {"arg": (i + 1) * 100**node})
+                       for i in range(11)]
+        events.append(TraceEvent(1.0, "span", 0, {"req": 0, "op": "combine", "start": 0.0,
+                                                  "end": 1.0, "messages": 0, "value": 0}))
+        report = check_trace(events, n_nodes=6)
+        assert (report.combines_checked, report.combines_undecided) == (0, 1)
+        assert report.to_dict()["combines_undecided"] == 1
+        assert report.ok  # undecided is not a violation (ROADMAP item 3)
 
     def test_dropped_delivery_is_lost_message(self, tmp_path):
         events = list(import_jsonl(str(_sequential_trace(tmp_path))))
